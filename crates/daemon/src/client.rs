@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use rfid_system::{FaultModel, Json};
 use rfid_wire::{
     Command, ErrorCode, OpenRequest, Response, SessionOutcome, StreamTransport, Transport,
-    WireError,
+    WireError, MAX_PAYLOAD,
 };
 
 /// Client-side failures.
@@ -39,6 +39,13 @@ pub enum ClientError {
     Unexpected(String),
     /// The server closed the connection mid-exchange.
     Closed,
+    /// The command would not fit in one frame (more than
+    /// [`MAX_PAYLOAD`] bytes). Nothing was sent, and the connection stays
+    /// usable.
+    TooLarge {
+        /// Size of the command's payload.
+        bytes: usize,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -54,6 +61,10 @@ impl std::fmt::Display for ClientError {
             ClientError::TimedOut => write!(f, "no response within the verb timeout"),
             ClientError::Unexpected(what) => write!(f, "unexpected response: {what}"),
             ClientError::Closed => write!(f, "server closed the connection"),
+            ClientError::TooLarge { bytes } => write!(
+                f,
+                "command of {bytes} bytes exceeds the {MAX_PAYLOAD}-byte frame limit"
+            ),
         }
     }
 }
@@ -140,8 +151,18 @@ impl<T: Transport> DaemonClient<T> {
         &mut self.transport
     }
 
+    fn send(&mut self, cmd: &Command) -> Result<(), ClientError> {
+        let frame = cmd.to_frame();
+        if !frame.fits() {
+            return Err(ClientError::TooLarge {
+                bytes: frame.payload.len(),
+            });
+        }
+        Ok(self.transport.send(&frame)?)
+    }
+
     fn request(&mut self, cmd: &Command) -> Result<Response, ClientError> {
-        self.transport.send(&cmd.to_frame())?;
+        self.send(cmd)?;
         self.next_response()
     }
 
@@ -205,8 +226,7 @@ impl<T: Transport> DaemonClient<T> {
         max_steps: Option<u64>,
         mut on_progress: impl FnMut(u64, u64, u64, f64),
     ) -> Result<RunEnd, ClientError> {
-        self.transport
-            .send(&Command::Run { session, max_steps }.to_frame())?;
+        self.send(&Command::Run { session, max_steps })?;
         loop {
             match self.next_response()? {
                 Response::Progress {

@@ -273,8 +273,12 @@ where
                 // After a daemon-side crash the old ids are gone even if
                 // the socket survived: start over from the checkpoint.
                 ErrorCode::UnknownSession | ErrorCode::BadState => Ok(Recovery::Reconnect),
-                ErrorCode::UnknownProtocol | ErrorCode::Rejected => Err(clone_error(e)),
+                ErrorCode::UnknownProtocol | ErrorCode::Rejected | ErrorCode::TooLarge => {
+                    Err(clone_error(e))
+                }
             },
+            // No retry makes a command smaller.
+            ClientError::TooLarge { .. } => Err(clone_error(e)),
             // An out-of-phase response (e.g. a stale reply to a verb the
             // client gave up on, surfacing mid-conversation) means the
             // request/response stream is desynchronized: the connection
@@ -312,6 +316,7 @@ fn clone_error(e: &ClientError) -> ClientError {
         },
         ClientError::TimedOut => ClientError::TimedOut,
         ClientError::Closed => ClientError::Closed,
+        ClientError::TooLarge { bytes } => ClientError::TooLarge { bytes: *bytes },
         ClientError::Unexpected(what) => ClientError::Unexpected(what.clone()),
         ClientError::Wire(_) => ClientError::Unexpected("wire error".to_string()),
     }

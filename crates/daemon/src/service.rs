@@ -21,7 +21,8 @@ use rfid_obs::{metrics_from_log, DeltaCursor, FlightRecorder};
 use rfid_protocols::Session;
 use rfid_system::{Json, SimConfig, SimContext};
 use rfid_wire::{
-    Command, ErrorCode, FrameError, OpenRequest, Response, Transport, WireError, WIRE_VERSION,
+    Command, ErrorCode, FrameError, OpenRequest, Response, Transport, WireError, MAX_PAYLOAD,
+    WIRE_VERSION,
 };
 use rfid_workloads::Scenario;
 
@@ -506,16 +507,13 @@ pub fn serve_connection<T: Transport>(
                 match Command::from_frame(&frame) {
                     Ok(cmd) => {
                         for response in service.handle(cmd) {
-                            transport.send(&response.to_frame())?;
+                            send_response(transport, &response)?;
                         }
                         if service.shutdown_requested() {
                             return Ok(());
                         }
                     }
-                    Err(e) => {
-                        let reply = err(classify(&e), e.to_string());
-                        transport.send(&reply.to_frame())?;
-                    }
+                    Err(e) => send_response(transport, &err(classify(&e), e.to_string()))?,
                 }
             }
             Err(WireError::Frame(e)) => {
@@ -523,8 +521,7 @@ pub fn serve_connection<T: Transport>(
                     FrameError::Garbage { .. } if frames_decoded == 0 => ErrorCode::Resync,
                     _ => ErrorCode::BadFrame,
                 };
-                let reply = err(code, e.to_string());
-                transport.send(&reply.to_frame())?;
+                send_response(transport, &err(code, e.to_string()))?;
             }
             Err(WireError::Io(e))
                 if matches!(
@@ -534,6 +531,24 @@ pub fn serve_connection<T: Transport>(
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Sends one response. A response too large for one frame is replaced by
+/// a typed [`ErrorCode::TooLarge`] error, so the peer gets an answer and
+/// the connection stays usable.
+fn send_response<T: Transport>(transport: &mut T, response: &Response) -> Result<(), WireError> {
+    let frame = response.to_frame();
+    if frame.fits() {
+        return transport.send(&frame);
+    }
+    let reply = err(
+        ErrorCode::TooLarge,
+        format!(
+            "response of {} bytes exceeds the {MAX_PAYLOAD}-byte frame limit",
+            frame.payload.len()
+        ),
+    );
+    transport.send(&reply.to_frame())
 }
 
 #[cfg(test)]
@@ -760,6 +775,38 @@ mod tests {
             panic!("expected MetricsDelta, got {responses:?}");
         };
         assert!(jsonl.is_none(), "nothing changed since the last delta");
+    }
+
+    #[test]
+    fn oversize_response_becomes_typed_error_and_connection_survives() {
+        let (mut server_end, mut client_end) = rfid_wire::loopback();
+        // Each control character escapes to six bytes (`\u0001`), so the
+        // JSON just exceeds MAX_PAYLOAD while the test holds a sixth of it.
+        let huge = Response::MetricsText {
+            session: 1,
+            text: "\u{1}".repeat(MAX_PAYLOAD / 6 + 1),
+        };
+        send_response(&mut server_end, &huge).expect("oversize reply is not an I/O error");
+        // The same transport keeps serving.
+        let server = std::thread::spawn(move || {
+            serve_connection(
+                &mut server_end,
+                &mut Service::new(),
+                &AtomicBool::new(false),
+            )
+        });
+        client_end.send(&Command::Hello.to_frame()).unwrap();
+        let mut next = || Response::from_frame(&client_end.recv().unwrap().expect("frame"));
+        match next() {
+            Ok(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::TooLarge);
+                assert!(message.contains("frame limit"), "{message}");
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert!(matches!(next(), Ok(Response::HelloOk { .. })));
+        drop(client_end);
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -10,9 +10,12 @@ use std::sync::Arc;
 
 use rfid_hash::prop::{self, Gen};
 use rfid_hash::prop_assert;
-use rfid_wire::{loopback, Command, ErrorCode, Frame, OpenRequest, Response, Transport};
+use rfid_system::Json;
+use rfid_wire::{
+    loopback, Command, ErrorCode, Frame, OpenRequest, Response, Transport, MAX_PAYLOAD,
+};
 
-use rfid_daemon::{serve_connection, DaemonClient, RunEnd, Service};
+use rfid_daemon::{serve_connection, ClientError, DaemonClient, RunEnd, Service};
 
 /// Runs `abuse` against a served loopback connection: opens a session,
 /// fires the hostile bytes, then checks the session still runs to
@@ -254,4 +257,35 @@ fn commands_for_bogus_sessions_never_kill_the_connection() {
         }
         Ok(())
     });
+}
+
+/// A command too large for one frame fails on the client with a typed
+/// `TooLarge` before any byte is sent, and the connection keeps working.
+#[test]
+fn oversize_command_is_a_typed_error_and_the_connection_survives() {
+    let (mut server_end, client_end) = loopback();
+    let server = std::thread::spawn(move || {
+        serve_connection(
+            &mut server_end,
+            &mut Service::new(),
+            &AtomicBool::new(false),
+        )
+    });
+    let mut client = DaemonClient::new(client_end);
+    // Each control character escapes to six bytes (`\u0001`), so the JSON
+    // just exceeds MAX_PAYLOAD while the test holds a sixth of it.
+    let huge = Json::str("\u{1}".repeat(MAX_PAYLOAD / 6 + 1));
+    match client.resume(huge) {
+        Err(ClientError::TooLarge { bytes }) => assert!(bytes > MAX_PAYLOAD),
+        other => panic!("expected TooLarge, got {other:?}"),
+    }
+    let session = client
+        .open(OpenRequest::new("HPP", 40, 4, 3))
+        .expect("connection still usable");
+    assert!(matches!(
+        client.run(session, None, |_, _, _, _| {}),
+        Ok(RunEnd::Done(_))
+    ));
+    drop(client);
+    server.join().unwrap().expect("clean close");
 }

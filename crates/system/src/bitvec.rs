@@ -9,6 +9,8 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::hex::{HexReader, HexWriter};
+
 /// A growable bit vector with MSB-first indexing.
 ///
 /// ```
@@ -244,6 +246,25 @@ impl BitVec {
     pub fn count_ones(&self) -> u64 {
         // Unused high bits of the last block are kept zero by `push`/`set`.
         self.blocks.iter().map(|b| b.count_ones() as u64).sum()
+    }
+
+    /// Appends the bits to a packed hex field, a block at a time.
+    pub(crate) fn pack_into(&self, out: &mut HexWriter) {
+        for (k, &block) in self.blocks.iter().enumerate() {
+            let width = (self.len - 64 * k).min(64) as u32;
+            out.push(block >> (64 - width), width);
+        }
+    }
+
+    /// Reads the next `len` bits of a packed hex field as a vector.
+    pub(crate) fn unpack_from(bits: &mut HexReader<'_>, len: usize) -> BitVec {
+        let blocks = (0..len.div_ceil(64))
+            .map(|k| {
+                let width = (len - 64 * k).min(64) as u32;
+                bits.read(width) << (64 - width)
+            })
+            .collect();
+        BitVec { blocks, len }
     }
 }
 

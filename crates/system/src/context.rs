@@ -23,6 +23,7 @@ use rfid_hash::Xoshiro256;
 use crate::channel::{Channel, SlotOutcome};
 use crate::event::{BroadcastKind, Event, EventLog};
 use crate::fault::FaultModel;
+use crate::hex::{decode_bitset, encode_bitset};
 use crate::json::{Json, JsonError, ToJson};
 use crate::population::TagPopulation;
 use crate::round_index::RoundIndex;
@@ -904,8 +905,9 @@ impl SimContext {
     /// transient caches ([`RoundIndex`], arenas, scratch pool) and the
     /// [`SpanProfiler`] are *not* captured — the caches never carry state
     /// across a protocol step, only capacity, and profiler wall-times are
-    /// machine-local — and the derived desync bitset is rebuilt from
-    /// `synced`.
+    /// machine-local. The per-tag downlink synchronization travels as the
+    /// `desynced` hex bitset (one bit per tag, see the population codec),
+    /// and `synced` is rebuilt from it.
     ///
     /// Pair with [`SimContext::restore`], which needs the same [`SimConfig`]
     /// the context was created with.
@@ -919,7 +921,10 @@ impl SimContext {
             ("population".to_string(), self.population.to_json()),
             ("counters".to_string(), self.counters.to_json()),
             ("log".to_string(), self.log.to_json()),
-            ("synced".to_string(), self.synced.to_json()),
+            (
+                "desynced".to_string(),
+                Json::Str(encode_bitset(&self.desynced_words, self.synced.len())),
+            ),
             ("replies_sent".to_string(), self.replies_sent.to_json()),
             ("ge_bad".to_string(), self.ge_bad.to_json()),
         ])
@@ -957,13 +962,7 @@ impl SimContext {
         if state == [0; 4] {
             return Err(JsonError("all-zero rng state is invalid".to_string()));
         }
-        let synced: Vec<bool> = json.field("synced")?;
-        if synced.len() != n {
-            return Err(JsonError(format!(
-                "synced has {} entries for a population of {n}",
-                synced.len()
-            )));
-        }
+        let desynced_words = decode_bitset(json.field_str("desynced")?, n, "desynced")?;
         let has_kills = !config.fault.plan.kill_after_replies.is_empty();
         let replies_sent: Vec<u64> = json.field("replies_sent")?;
         let expect_replies = if has_kills { n } else { 0 };
@@ -973,14 +972,10 @@ impl SimContext {
                 replies_sent.len()
             )));
         }
-        let mut desynced_words = vec![0u64; n.div_ceil(64)];
-        let mut desynced_count = 0;
-        for (idx, &ok) in synced.iter().enumerate() {
-            if !ok {
-                desynced_words[idx / 64] |= 1u64 << (idx % 64);
-                desynced_count += 1;
-            }
-        }
+        let synced = (0..n)
+            .map(|idx| desynced_words[idx / 64] >> (idx % 64) & 1 == 0)
+            .collect();
+        let desynced_count = desynced_words.iter().map(|w| w.count_ones() as usize).sum();
         Ok(SimContext {
             link: config.link,
             clock: json.field("clock")?,
@@ -1377,12 +1372,12 @@ mod tests {
         }
         assert!(SimContext::restore(&cfg, &bad).is_err());
 
-        // Sync vector length disagrees with the population.
+        // Desync bitset length disagrees with the population.
         let mut bad = good.clone();
         if let Json::Obj(fields) = &mut bad {
             for (k, v) in fields.iter_mut() {
-                if k == "synced" {
-                    *v = Json::Arr(vec![Json::Bool(true); 3]);
+                if k == "desynced" {
+                    *v = Json::str("000");
                 }
             }
         }

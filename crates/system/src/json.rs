@@ -76,22 +76,38 @@ impl JsonError {
 
 // ------------------------------------------------------------------ writer
 
+/// Bytes a JSON string cannot carry verbatim.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Copy verbatim runs whole: packed snapshot fields are long strings
+    // with nothing to escape.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
 }
 
 fn write_f64(out: &mut String, x: f64) {
@@ -200,6 +216,7 @@ impl fmt::Display for Json {
 // ------------------------------------------------------------------ parser
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -330,6 +347,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the verbatim run up to the next quote, escape or control
+            // byte in one slice. Those are all ASCII, so the run ends on a
+            // char boundary of the (already valid UTF-8) input.
+            let run = self.pos;
+            while self.peek().is_some_and(|b| !needs_escape(b)) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -366,30 +391,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("unknown escape")),
                 },
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(c) => {
-                    // Reassemble UTF-8: collect continuation bytes.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err(self.err("invalid UTF-8")),
-                        };
-                        let end = start + len;
-                        let chunk = self
-                            .bytes
-                            .get(start..end)
-                            .ok_or_else(|| self.err("truncated UTF-8"))?;
-                        let s =
-                            std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -433,6 +435,7 @@ impl Json {
     /// Parses a JSON document.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -519,6 +522,15 @@ impl Json {
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
         match self.get(key) {
             Some(v) => T::from_json(v).map_err(|e| e.in_field(key)),
+            None => Err(JsonError::new(format!("missing field '{key}'"))),
+        }
+    }
+
+    /// Borrows a string field without copying it (packed snapshot fields
+    /// run to hundreds of kilobytes).
+    pub fn field_str(&self, key: &str) -> Result<&str, JsonError> {
+        match self.get(key) {
+            Some(v) => v.as_str().map_err(|e| e.in_field(key)),
             None => Err(JsonError::new(format!("missing field '{key}'"))),
         }
     }

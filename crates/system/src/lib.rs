@@ -36,6 +36,7 @@ pub mod channel;
 pub mod context;
 pub mod event;
 pub mod fault;
+mod hex;
 pub mod id;
 pub mod json;
 pub mod population;

@@ -15,7 +15,9 @@
 use std::cell::Cell;
 
 use crate::bitvec::BitVec;
+use crate::hex::{decode_bitset, encode_bitset, HexReader, HexWriter};
 use crate::id::TagId;
+use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::tag::{Tag, TagState};
 
 /// The set of tags in the interrogation zone.
@@ -55,35 +57,50 @@ impl TagPopulation {
     /// Panics if two tags share an ID — EPCs are unique by definition and
     /// every protocol in the paper relies on it.
     pub fn new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Self {
-        let tags: Vec<Tag> = tags
+        let tags = tags
             .into_iter()
             .map(|(id, info)| Tag::new(id, info))
             .collect();
+        TagPopulation::from_tags(tags).unwrap_or_else(|id| panic!("duplicate tag ID {id}"))
+    }
+
+    /// Builds a population from tags in any state, deriving the counts,
+    /// the active-set bitset, the ID cache and the deselection stack from
+    /// the tags themselves. Returns the first repeated ID as the error.
+    fn from_tags(tags: Vec<Tag>) -> Result<Self, TagId> {
         let mut seen = std::collections::HashSet::with_capacity(tags.len());
         for t in &tags {
-            assert!(seen.insert(t.id), "duplicate tag ID {}", t.id);
+            if !seen.insert(t.id) {
+                return Err(t.id);
+            }
         }
-        let active = tags.len();
-        let mut active_words = vec![u64::MAX; tags.len().div_ceil(64)];
-        if let Some(last) = active_words.last_mut() {
-            let tail = tags.len() % 64;
-            if tail != 0 {
-                *last = (1u64 << tail) - 1;
+        let mut active_words = vec![0u64; tags.len().div_ceil(64)];
+        let mut active = 0;
+        let mut asleep = 0;
+        let mut deselected = Vec::new();
+        for (idx, t) in tags.iter().enumerate() {
+            match t.state {
+                TagState::Active => {
+                    active += 1;
+                    active_words[idx / 64] |= 1 << (idx % 64);
+                }
+                TagState::Asleep => asleep += 1,
+                TagState::Deselected => deselected.push(idx),
             }
         }
         let ids_hi: Vec<u32> = tags.iter().map(|t| t.id.hi()).collect();
         let ids_lo: Vec<u64> = tags.iter().map(|t| t.id.lo()).collect();
-        TagPopulation {
+        Ok(TagPopulation {
             tags,
             active,
-            asleep: 0,
+            asleep,
             active_words,
             ids_hi,
             ids_lo,
-            deselected: Vec::new(),
+            deselected,
             #[cfg(debug_assertions)]
             scans: Cell::new(0),
-        }
+        })
     }
 
     /// Convenience: `n` tags with sequential raw IDs and the given payload
@@ -255,36 +272,136 @@ impl TagPopulation {
     }
 }
 
-impl crate::json::ToJson for TagPopulation {
-    /// A population serializes as its tag list; the active/asleep counts,
-    /// bitset and ID cache are derived state and are rebuilt on load.
-    fn to_json(&self) -> crate::json::Json {
-        crate::json::ToJson::to_json(&self.tags)
+impl ToJson for TagPopulation {
+    /// A population serializes column by column, as a fixed handful of
+    /// values whatever its size:
+    ///
+    /// * `n` — the number of tags;
+    /// * `ids` — 24 hex digits per tag (`hi` then `lo`), in handle order;
+    /// * `info` — every payload concatenated, hex-packed;
+    /// * `info_lens` — the payload lengths as runs `[[len, count], …]`;
+    /// * `asleep`, `deselected` — `n`-bit hex bitsets of the tag states.
+    ///
+    /// The active/asleep counts, active-set bitset and ID cache are
+    /// derived state and are rebuilt on load.
+    fn to_json(&self) -> Json {
+        let n = self.tags.len();
+        let info_bits = self.tags.iter().map(|t| t.info.len()).sum();
+        let mut ids = HexWriter::with_bits(n * 96);
+        let mut info = HexWriter::with_bits(info_bits);
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        let mut asleep = vec![0u64; n.div_ceil(64)];
+        let mut deselected = vec![0u64; n.div_ceil(64)];
+        for (idx, t) in self.tags.iter().enumerate() {
+            ids.push(u64::from(t.id.hi()), 32);
+            ids.push(t.id.lo(), 64);
+            t.info.pack_into(&mut info);
+            match runs.last_mut() {
+                Some((len, count)) if *len == t.info.len() => *count += 1,
+                _ => runs.push((t.info.len(), 1)),
+            }
+            match t.state {
+                TagState::Active => {}
+                TagState::Asleep => asleep[idx / 64] |= 1 << (idx % 64),
+                TagState::Deselected => deselected[idx / 64] |= 1 << (idx % 64),
+            }
+        }
+        let runs = runs
+            .into_iter()
+            .map(|(len, count)| Json::Arr(vec![len.to_json(), count.to_json()]))
+            .collect();
+        Json::Obj(vec![
+            ("n".to_string(), n.to_json()),
+            ("ids".to_string(), Json::Str(ids.finish())),
+            ("info".to_string(), Json::Str(info.finish())),
+            ("info_lens".to_string(), Json::Arr(runs)),
+            ("asleep".to_string(), Json::Str(encode_bitset(&asleep, n))),
+            (
+                "deselected".to_string(),
+                Json::Str(encode_bitset(&deselected, n)),
+            ),
+        ])
     }
 }
 
-impl crate::json::FromJson for TagPopulation {
-    fn from_json(json: &crate::json::Json) -> Result<Self, crate::json::JsonError> {
-        let tags: Vec<Tag> = crate::json::FromJson::from_json(json)?;
-        let mut seen = std::collections::HashSet::with_capacity(tags.len());
-        for t in &tags {
-            if !seen.insert(t.id) {
-                return Err(crate::json::JsonError(format!("duplicate tag ID {}", t.id)));
+impl FromJson for TagPopulation {
+    /// Reads the columnar encoding back. Every malformed column — wrong
+    /// length, a non-hex digit, nonzero padding, runs that do not cover
+    /// `n` tags, a tag both asleep and deselected, a repeated ID — is a
+    /// typed error. Any other shape (including the per-tag object array
+    /// older snapshots carried) is rejected with the expected fields named.
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        if !matches!(json, Json::Obj(_)) {
+            return Err(JsonError(
+                "a population must be an object with fields n, ids, info, info_lens, asleep, deselected"
+                    .to_string(),
+            ));
+        }
+        let n: usize = json.field("n")?;
+        let id_bits = n
+            .checked_mul(96)
+            .ok_or_else(|| JsonError(format!("population of {n} tags is too large")))?;
+        let mut ids = HexReader::new(json.field_str("ids")?, id_bits, "ids")?;
+        let runs = info_runs(json, n)?;
+        let info_bits = runs
+            .iter()
+            .try_fold(0usize, |acc, &(len, count)| {
+                acc.checked_add(len.checked_mul(count)?)
+            })
+            .ok_or_else(|| JsonError("'info_lens' total overflows".to_string()))?;
+        let mut info = HexReader::new(json.field_str("info")?, info_bits, "info")?;
+        let asleep = decode_bitset(json.field_str("asleep")?, n, "asleep")?;
+        let deselected = decode_bitset(json.field_str("deselected")?, n, "deselected")?;
+        if let Some(w) = (0..asleep.len()).find(|&w| asleep[w] & deselected[w] != 0) {
+            let idx = w * 64 + (asleep[w] & deselected[w]).trailing_zeros() as usize;
+            return Err(JsonError(format!(
+                "tag {idx} is both asleep and deselected"
+            )));
+        }
+        let bit = |words: &[u64], idx: usize| words[idx / 64] >> (idx % 64) & 1 == 1;
+        let mut tags = Vec::with_capacity(n);
+        for (len, count) in runs {
+            for _ in 0..count {
+                let idx = tags.len();
+                let hi = ids.read(32) as u32;
+                let id = TagId::from_raw(hi, ids.read(64));
+                let mut tag = Tag::new(id, BitVec::unpack_from(&mut info, len));
+                if bit(&asleep, idx) {
+                    tag.state = TagState::Asleep;
+                } else if bit(&deselected, idx) {
+                    tag.state = TagState::Deselected;
+                }
+                tags.push(tag);
             }
         }
-        // Rebuild through the constructor, then replay the persisted states
-        // so the derived active/asleep counts stay consistent.
-        let states: Vec<TagState> = tags.iter().map(|t| t.state).collect();
-        let mut pop = TagPopulation::new(tags.into_iter().map(|t| (t.id, t.info)));
-        for (idx, state) in states.iter().enumerate() {
-            match state {
-                TagState::Active => {}
-                TagState::Asleep => pop.sleep(idx),
-                TagState::Deselected => pop.deselect(idx),
-            }
-        }
-        Ok(pop)
+        TagPopulation::from_tags(tags).map_err(|id| JsonError(format!("duplicate tag ID {id}")))
     }
+}
+
+/// The `info_lens` runs as `(len, count)` pairs, checked to cover exactly
+/// `n` tags with no empty run.
+fn info_runs(json: &Json, n: usize) -> Result<Vec<(usize, usize)>, JsonError> {
+    let runs: Vec<Vec<usize>> = json.field("info_lens")?;
+    let mut covered = 0usize;
+    let mut out = Vec::with_capacity(runs.len());
+    for run in runs {
+        let [len, count] = run[..] else {
+            return Err(JsonError(
+                "'info_lens' runs must be [len, count] pairs".to_string(),
+            ));
+        };
+        if count == 0 {
+            return Err(JsonError("'info_lens' has an empty run".to_string()));
+        }
+        covered = covered.saturating_add(count);
+        out.push((len, count));
+    }
+    if covered != n {
+        return Err(JsonError(format!(
+            "'info_lens' runs cover {covered} tags, expected {n}"
+        )));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -77,6 +77,177 @@ fn population_rejects_duplicate_ids() {
     assert!(from_json_str::<TagPopulation>(&doc.to_string()).is_err());
 }
 
+/// `doc` with field `key` replaced by `value`.
+fn with_field(doc: &Json, key: &str, value: Json) -> Json {
+    let Json::Obj(fields) = doc else {
+        panic!("expected an object, got {doc}");
+    };
+    let mut fields = fields.clone();
+    let slot = fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no field '{key}'"));
+    slot.1 = value;
+    Json::Obj(fields)
+}
+
+/// The error a population document is rejected with.
+fn population_error(doc: &Json) -> String {
+    match TagPopulation::from_json(doc) {
+        Ok(pop) => panic!(
+            "accepted a malformed population of {} tags: {doc}",
+            pop.len()
+        ),
+        Err(e) => e.to_string(),
+    }
+}
+
+fn mixed_state_population() -> TagPopulation {
+    let mut pop = TagPopulation::sequential(6, |i| BitVec::from_value(i as u64 % 4, 2));
+    pop.sleep(1);
+    pop.sleep(4);
+    pop.deselect(2);
+    pop
+}
+
+#[test]
+fn population_encodes_as_packed_columns() {
+    let ids: String = (0..6).map(|i| format!("00000000{i:016x}")).collect();
+    let expected = Json::parse(&format!(
+        r#"{{"n":6,"ids":"{ids}","info":"1b1","info_lens":[[2,6]],"asleep":"48","deselected":"20"}}"#
+    ))
+    .unwrap();
+    assert_eq!(mixed_state_population().to_json(), expected);
+}
+
+#[test]
+fn population_rejects_duplicate_ids_in_columnar_form() {
+    let pop = TagPopulation::sequential(2, |_| BitVec::new());
+    let doc = pop.to_json();
+    let same = format!("{:024x}", 1);
+    let dup = with_field(&doc, "ids", Json::str(same.repeat(2)));
+    assert!(population_error(&dup).contains("duplicate tag ID"));
+}
+
+#[test]
+fn population_rejects_the_per_tag_array_naming_the_columns() {
+    let tag = Tag::new(TagId::from_raw(0, 1), BitVec::from_str_bits("01"));
+    let err = population_error(&Json::Arr(vec![tag.to_json()]));
+    assert!(
+        err.contains("n, ids, info, info_lens, asleep, deselected"),
+        "{err}"
+    );
+}
+
+#[test]
+fn population_rejects_non_hex_characters() {
+    let doc = mixed_state_population().to_json();
+    for key in ["ids", "info", "asleep", "deselected"] {
+        let text = doc.field_str(key).unwrap();
+        for bad in ['g', 'A', ' ', 'µ'] {
+            let mut chars: Vec<char> = text.chars().collect();
+            chars[0] = bad;
+            let mutated: String = chars.into_iter().collect();
+            let err = population_error(&with_field(&doc, key, Json::str(mutated)));
+            assert!(err.contains(key), "{key}/{bad:?}: {err}");
+        }
+    }
+}
+
+#[test]
+fn population_rejects_short_long_and_odd_length_columns() {
+    let doc = mixed_state_population().to_json();
+    for key in ["ids", "info", "asleep", "deselected"] {
+        let text = doc.field_str(key).unwrap().to_string();
+        let short = text[..text.len() - 1].to_string();
+        let long = format!("{text}0");
+        let odd = format!("{text}000");
+        for (what, bad) in [
+            ("short", short),
+            ("long", long),
+            ("odd", odd),
+            ("empty", String::new()),
+        ] {
+            let err = population_error(&with_field(&doc, key, Json::str(bad)));
+            assert!(err.contains("hex digits"), "{key} {what}: {err}");
+        }
+    }
+    // A column that is not a string at all.
+    let err = population_error(&with_field(&doc, "ids", Json::UInt(7)));
+    assert!(err.contains("ids"), "{err}");
+}
+
+#[test]
+fn population_rejects_nonzero_padding_bits() {
+    let doc = mixed_state_population().to_json();
+    // Six tags: the bitsets carry two padding bits, `info` (12 bits) none.
+    for (key, bad) in [("asleep", "49"), ("deselected", "22")] {
+        let err = population_error(&with_field(&doc, key, Json::str(bad)));
+        assert!(err.contains("padding"), "{key}: {err}");
+    }
+    let odd = TagPopulation::sequential(3, |_| BitVec::from_str_bits("1"));
+    let doc = odd.to_json();
+    assert_eq!(doc.field_str("info").unwrap(), "e");
+    let err = population_error(&with_field(&doc, "info", Json::str("f")));
+    assert!(err.contains("padding"), "{err}");
+}
+
+#[test]
+fn population_rejects_a_tag_both_asleep_and_deselected() {
+    let doc = mixed_state_population().to_json();
+    // Tag 1 is asleep; mark it deselected too.
+    let err = population_error(&with_field(&doc, "deselected", Json::str("60")));
+    assert!(err.contains("tag 1 is both asleep and deselected"), "{err}");
+}
+
+#[test]
+fn population_rejects_info_runs_that_miss_n() {
+    let doc = mixed_state_population().to_json();
+    let runs = |pairs: &[(u64, u64)]| {
+        Json::Arr(
+            pairs
+                .iter()
+                .map(|&(len, count)| Json::Arr(vec![Json::UInt(len), Json::UInt(count)]))
+                .collect(),
+        )
+    };
+    for bad in [
+        runs(&[(2, 5)]),
+        runs(&[(2, 7)]),
+        runs(&[(2, 3), (2, 2)]),
+        runs(&[]),
+        runs(&[(2, 6), (4, 0)]),
+        runs(&[(u64::MAX, 6)]),
+        Json::Arr(vec![Json::Arr(vec![Json::UInt(2)])]),
+    ] {
+        let err = population_error(&with_field(&doc, "info_lens", bad.clone()));
+        assert!(err.contains("info"), "{bad}: {err}");
+    }
+    // Runs that cover n but claim more payload bits than `info` holds.
+    let err = population_error(&with_field(&doc, "info_lens", runs(&[(3, 6)])));
+    assert!(err.contains("'info'"), "{err}");
+}
+
+#[test]
+fn population_round_trips_mixed_payload_lengths() {
+    let mut pop = TagPopulation::new((0..200u64).map(|i| {
+        let len = [0, 1, 16, 64, 65, 130][(i / 7) as usize % 6];
+        (
+            TagId::from_raw(i as u32 * 7, !i),
+            BitVec::from_bits((0..len).map(|b| (b * 3 + i as usize) % 5 < 2)),
+        )
+    }));
+    pop.sleep(0);
+    pop.deselect(199);
+    let doc = pop.to_json();
+    assert!(doc.get("info_lens").unwrap().as_arr().unwrap().len() > 6);
+    let back: TagPopulation = from_json_str(&doc.to_string()).unwrap();
+    assert_eq!(back, pop);
+    assert_eq!(back.active_count(), pop.active_count());
+    assert_eq!(back.id_words(), pop.id_words());
+    round_trip(&TagPopulation::new(Vec::new()));
+}
+
 #[test]
 fn channel_and_slot_outcome_round_trip() {
     round_trip(&Channel::perfect());

@@ -56,11 +56,18 @@ impl Frame {
         Frame { kind, payload }
     }
 
+    /// `true` if the payload fits in one frame (at most [`MAX_PAYLOAD`]
+    /// bytes). Senders check this before [`Frame::encode`] and turn an
+    /// oversize message into a typed error.
+    pub fn fits(&self) -> bool {
+        self.payload.len() <= MAX_PAYLOAD
+    }
+
     /// Serializes the frame to its on-wire bytes.
     ///
     /// # Panics
-    /// Panics if the payload exceeds [`MAX_PAYLOAD`] — an encoder-side
-    /// programming error, not a wire condition.
+    /// Panics if the payload exceeds [`MAX_PAYLOAD`] — senders must check
+    /// [`Frame::fits`] first.
     pub fn encode(&self) -> Vec<u8> {
         assert!(
             self.payload.len() <= MAX_PAYLOAD,

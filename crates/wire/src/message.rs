@@ -125,6 +125,10 @@ pub enum ErrorCode {
     /// (chaos soaks assert on it), distinct from a broken frame on an
     /// established stream.
     Resync,
+    /// The response would not fit in one frame (more than
+    /// [`MAX_PAYLOAD`](crate::MAX_PAYLOAD) bytes). It was not sent, and
+    /// the connection stays usable.
+    TooLarge,
 }
 
 rfid_system::impl_json_enum_units!(ErrorCode {
@@ -135,6 +139,7 @@ rfid_system::impl_json_enum_units!(ErrorCode {
     BadState,
     Rejected,
     Resync,
+    TooLarge,
 });
 
 /// Client → server messages.

@@ -6,7 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
+cargo test -q --offline --workspace
 cargo fmt --check
 # Fast single-seed slice of the chaos fault-matrix gate (scripts/chaos.sh
 # runs the full multi-seed sweep).

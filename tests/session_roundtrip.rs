@@ -345,3 +345,84 @@ fn fuzzed_snapshot_bytes_never_panic() {
         }
     });
 }
+
+/// Number of values in a JSON tree: every scalar, array and object once.
+fn node_count(doc: &Json) -> usize {
+    match doc {
+        Json::Arr(items) => 1 + items.iter().map(node_count).sum::<usize>(),
+        Json::Obj(fields) => 1 + fields.iter().map(|(_, v)| node_count(v)).sum::<usize>(),
+        _ => 1,
+    }
+}
+
+/// An untraced HPP session over `n` tags with 16-bit payloads, paused
+/// after two rounds so the population holds both awake and asleep tags.
+fn mid_run_hpp_snapshot(n: usize) -> Json {
+    let scenario = Scenario::uniform(n, 16).with_seed(11);
+    let cfg = SimConfig::paper(scenario.protocol_seed());
+    let protocol = HppConfig::default().into_protocol();
+    let mut ctx = SimContext::new(scenario.build_population(), &cfg);
+    let mut session = Session::open(&protocol, &ctx);
+    assert!(session.run_for(&mut ctx, 2).is_none(), "paused mid-run");
+    assert!(ctx.population.asleep_count() > 0 && ctx.population.active_count() > 0);
+    session.snapshot(&ctx, &cfg)
+}
+
+/// Size gate for the columnar snapshot: the text stays within 32 bytes
+/// per tag at l = 16, and the JSON tree's node count does not grow with n.
+#[test]
+fn snapshot_size_is_columnar() {
+    let small = mid_run_hpp_snapshot(1_000);
+    let large = mid_run_hpp_snapshot(10_000);
+    let bytes = large.to_string().len();
+    assert!(
+        bytes <= 32 * 10_000,
+        "10k-tag snapshot is {bytes} bytes, {:.1} B/tag",
+        bytes as f64 / 10_000.0
+    );
+    assert_eq!(node_count(&small), node_count(&large));
+}
+
+/// A population whose payload lengths vary tag to tag survives a
+/// checkpoint through the `info_lens` runs and finishes bit-identically.
+#[test]
+fn mixed_payload_lengths_checkpoint_bit_identically() {
+    let population = || {
+        TagPopulation::new((0..300u64).map(|i| {
+            let len = [1, 16, 64, 96, 0, 7][(i % 11) as usize % 6];
+            let info = BitVec::from_bits((0..len).map(|b| (b as u64 * 5 + i) % 3 == 0));
+            (
+                TagId::from_raw((i % 5) as u32, i.wrapping_mul(0x9E37_79B9)),
+                info,
+            )
+        }))
+    };
+    let cfg = SimConfig::paper(23).with_trace();
+    let protocol = HppConfig::default().into_protocol();
+
+    let mut ctx = SimContext::new(population(), &cfg);
+    let report = protocol.try_run(&mut ctx).expect("uninterrupted run");
+    let expected = (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl()));
+
+    let mut ctx = SimContext::new(population(), &cfg);
+    let mut session = Session::open(&protocol, &ctx);
+    assert!(session.run_for(&mut ctx, 2).is_none(), "paused mid-run");
+    let snap = session.snapshot(&ctx, &cfg);
+    let runs = ["context", "population", "info_lens"]
+        .iter()
+        .try_fold(&snap, |doc, key| doc.get(key))
+        .and_then(|runs| runs.as_arr().ok())
+        .expect("snapshot carries info_lens runs")
+        .len();
+    assert!(runs > 100, "mixed lengths need many runs, got {runs}");
+    let doc = Json::parse(&snap.to_string()).expect("snapshot parses");
+    let (mut ctx, mut session) = Session::restore(&protocol, &doc).expect("snapshot restores");
+    let report = match session.run(&mut ctx) {
+        SessionEnd::Complete { report, .. } => report,
+        other => panic!("restored run ended {other:?}"),
+    };
+    assert_eq!(
+        (report.to_json().to_string(), fnv64(&ctx.log.to_jsonl())),
+        expected
+    );
+}
