@@ -128,7 +128,7 @@ pub fn run_polling_recovered_in(
     let collected = ctx
         .population
         .iter()
-        .filter(|(_, tag)| !tag.is_active())
+        .filter(|&(h, _)| !ctx.population.is_active(h))
         .map(|(_, tag)| (tag.id, tag.info.clone()))
         .collect();
     RecoveredCollection { outcome, collected }
@@ -179,7 +179,7 @@ pub fn run_polling_with_deadline(
     let collected = ctx
         .population
         .iter()
-        .filter(|(_, tag)| !tag.is_active())
+        .filter(|&(h, _)| !ctx.population.is_active(h))
         .map(|(_, tag)| (tag.id, tag.info.clone()))
         .collect();
     DeadlineCollection { end, collected }

@@ -286,7 +286,7 @@ impl MissingTagApp {
         missing: &mut Vec<TagId>,
     ) {
         match handle_of.get(&id) {
-            Some(&handle) if ctx.population.get(handle).is_active() => {
+            Some(&handle) if ctx.population.is_active(handle) => {
                 if ctx.poll_tag(vector_bits, true, handle) {
                     present.push(id);
                 } else {
@@ -427,7 +427,7 @@ impl MissingTagDetector {
             for (segment, &(_, id)) in tree.preorder_segments().iter().zip(&singles) {
                 let bits = segment.len() as u64;
                 match handle_of.get(&id) {
-                    Some(&handle) if ctx.population.get(handle).is_active() => {
+                    Some(&handle) if ctx.population.is_active(handle) => {
                         // Present: replies. Detection must not consume the
                         // tag for later rounds, so wake it back up is not
                         // possible — instead charge the exchange manually.

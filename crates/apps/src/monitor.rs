@@ -94,7 +94,7 @@ impl InventoryMonitor {
         let before: BTreeSet<TagId> = ctx
             .population
             .iter()
-            .filter(|(_, t)| t.is_active())
+            .filter(|&(h, _)| ctx.population.is_active(h))
             .map(|(_, t)| t.id)
             .collect();
         let mut newcomers = Vec::new();

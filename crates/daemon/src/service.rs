@@ -268,6 +268,19 @@ impl Service {
         if req.n == 0 {
             return err(ErrorCode::Rejected, "population must be non-empty");
         }
+        // Every admitted session is checkpointed, so a population whose
+        // snapshot cannot fit one frame is refused before it is built.
+        let fits = population_snapshot_chars(req.n, req.info_bits)
+            .is_some_and(|chars| chars <= MAX_PAYLOAD as u64);
+        if !fits {
+            return err(
+                ErrorCode::Rejected,
+                format!(
+                    "{} tags of {} info bits cannot be checkpointed in one {MAX_PAYLOAD}-byte frame",
+                    req.n, req.info_bits
+                ),
+            );
+        }
         let scenario =
             Scenario::uniform(req.n as usize, req.info_bits as usize).with_seed(req.seed);
         // The default config keeps tracing on: served runs are auditable
@@ -466,6 +479,16 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Response {
         code,
         message: message.into(),
     }
+}
+
+/// Hex characters of the columnar population snapshot of `n` tags with
+/// `info_bits` each: 24 per ID, the packed payloads and the two state
+/// bitsets. `None` if the count overflows.
+fn population_snapshot_chars(n: u64, info_bits: u64) -> Option<u64> {
+    let ids = n.checked_mul(24)?;
+    let info = n.checked_mul(info_bits)?.div_ceil(4);
+    let states = n.div_ceil(4).checked_mul(2)?;
+    ids.checked_add(info)?.checked_add(states)
 }
 
 fn unknown_session(session: u64) -> Response {

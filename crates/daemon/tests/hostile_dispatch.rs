@@ -289,3 +289,37 @@ fn oversize_command_is_a_typed_error_and_the_connection_survives() {
     drop(client);
     server.join().unwrap().expect("clean close");
 }
+
+/// A valid `Open` whose population could never be checkpointed in one
+/// frame is refused with a typed `Rejected` at admission — before the
+/// population is built — and the connection keeps serving.
+#[test]
+fn huge_open_requests_are_rejected_at_admission() {
+    let (mut server_end, client_end) = loopback();
+    let server = std::thread::spawn(move || {
+        serve_connection(
+            &mut server_end,
+            &mut Service::new(),
+            &AtomicBool::new(false),
+        )
+    });
+    let mut client = DaemonClient::new(client_end);
+    for (n, info_bits) in [(u64::MAX, 1), (10_000_000, 1), (64, u64::MAX)] {
+        match client.open(OpenRequest::new("HPP", n, info_bits, 5)) {
+            Err(ClientError::Server {
+                code: ErrorCode::Rejected,
+                message,
+            }) => assert!(message.contains("frame"), "{message}"),
+            other => panic!("n = {n}, info_bits = {info_bits}: expected Rejected, got {other:?}"),
+        }
+    }
+    let session = client
+        .open(OpenRequest::new("EHPP", 300, 4, 5))
+        .expect("connection still usable");
+    assert!(matches!(
+        client.run(session, None, |_, _, _, _| {}),
+        Ok(RunEnd::Done(_))
+    ));
+    drop(client);
+    server.join().unwrap().expect("clean close");
+}

@@ -20,7 +20,7 @@
 
 use rfid_analysis::ehpp::optimal_subset_size_with_overhead;
 use rfid_hash::TagHash;
-use rfid_system::{Json, JsonError, SimContext, ToJson};
+use rfid_system::{Json, JsonError, SimContext, TagPopulation, ToJson};
 
 use crate::error::{StallCause, StallGuard};
 use crate::hpp::{hpp_round, HppConfig};
@@ -115,6 +115,40 @@ impl PollingProtocol for Ehpp {
     }
 }
 
+/// Fills `masks` with one word per active-set word of `pop`: bit `i` of
+/// `masks[w]` is set iff active tag `64·w + i` stays out of the circle,
+/// i.e. `H(r, id) mod F ≥ n*`. Returns how many tags stay out.
+///
+/// Walks only the active bits over the SoA ID words — O(len/64 + active),
+/// no per-tag state touched — so deselection can then be applied a word
+/// at a time.
+fn deselect_masks(
+    pop: &TagPopulation,
+    selector: &TagHash,
+    f_range: u64,
+    n_star: u64,
+    masks: &mut Vec<u64>,
+) -> usize {
+    let (ids_hi, ids_lo) = pop.id_words();
+    let mut left_out = 0;
+    masks.clear();
+    masks.extend(pop.active_words().iter().enumerate().map(|(w, &word)| {
+        let mut mask = 0u64;
+        let mut bits = word;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            let handle = w * 64 + bit as usize;
+            if selector.modulo(ids_hi[handle], ids_lo[handle], f_range) >= n_star {
+                mask |= 1 << bit;
+            }
+            bits &= bits - 1;
+        }
+        left_out += mask.count_ones() as usize;
+        mask
+    }));
+    left_out
+}
+
 /// The HPP run inside the current circle.
 struct InnerCircle {
     /// The final circle runs over *everyone* (no selection happened), so
@@ -172,32 +206,31 @@ impl EhppStepper {
             return StepOutcome::Progressed;
         }
         // Probabilistic selection: tag joins iff H(r, id) mod F < n*.
-        // Walk only the active bitset (O(remaining), not O(n)) into a
-        // recycled scratch buffer — the selection sweep used to rescan
-        // the full population every circle.
-        let seed = ctx.draw_round_seed();
-        let selector = TagHash::new(seed);
-        let f_range = remaining;
-        let n_star = self.n_star;
-        let mut deselected = ctx.take_scratch();
-        let (ids_hi, ids_lo) = ctx.population.id_words();
-        ctx.population.for_each_active(|handle| {
-            if selector.modulo(ids_hi[handle], ids_lo[handle], f_range) >= n_star {
-                deselected.push(handle);
-            }
-        });
-        let selected = remaining as usize - deselected.len();
+        let selector = TagHash::new(ctx.draw_round_seed());
+        let mut masks = ctx.take_mask_words();
+        let left_out = deselect_masks(
+            &ctx.population,
+            &selector,
+            remaining,
+            self.n_star,
+            &mut masks,
+        );
+        let selected = remaining as usize - left_out;
+        // The circle command reaches the pre-selection active set, so the
+        // broadcast runs before anyone is deselected.
         ctx.begin_circle(selected, self.cfg.circle_cmd_bits);
         if selected == 0 {
             // Nobody joined (rare); re-draw a selection seed next step. The
             // circle command was still spent on the air.
-            ctx.recycle_scratch(deselected);
+            ctx.recycle_mask_words(masks);
             return StepOutcome::Progressed;
         }
-        for &handle in &deselected {
-            ctx.population.deselect(handle);
+        for (w, &mask) in masks.iter().enumerate() {
+            if mask != 0 {
+                ctx.population.deselect_word(w, mask);
+            }
         }
-        ctx.recycle_scratch(deselected);
+        ctx.recycle_mask_words(masks);
         self.inner = Some(InnerCircle {
             final_drain: false,
             rounds: 0,
@@ -309,7 +342,9 @@ mod tests {
     use super::*;
     use crate::hpp::Hpp;
     use crate::report::Report;
-    use rfid_system::{BitVec, Channel, SimConfig, TagPopulation};
+    use rfid_hash::prop::{check, Gen};
+    use rfid_hash::{prop_assert, prop_assert_eq};
+    use rfid_system::{BitVec, Channel, SimConfig, TagId};
 
     fn run(n: usize, seed: u64, cfg: EhppConfig) -> (Report, SimContext) {
         let pop = TagPopulation::sequential(n, |_| BitVec::from_value(1, 1));
@@ -438,5 +473,113 @@ mod tests {
             (mean - n_star as f64).abs() < n_star as f64 * 0.15,
             "mean circle size {mean} vs target {n_star}"
         );
+    }
+
+    /// A population of `len_in(1, max_n)` random IDs with about a third of
+    /// the tags asleep (and, if `deselect`, a sixth deselected).
+    fn random_population(g: &mut Gen, max_n: usize, deselect: bool) -> TagPopulation {
+        let n = g.len_in(1, max_n);
+        let mut pop = TagPopulation::new((0..n).map(|i| {
+            (
+                TagId::from_raw(g.u32(), g.u64() << 20 | i as u64),
+                BitVec::new(),
+            )
+        }));
+        for h in 0..n {
+            match g.u64_below(6) {
+                0 | 1 => pop.sleep(h),
+                2 if deselect => pop.deselect(h),
+                _ => {}
+            }
+        }
+        pop
+    }
+
+    #[test]
+    fn prop_word_masks_match_the_scalar_selection() {
+        check("ehpp word masks match scalar selection", 128, |g| {
+            let pop = random_population(g, 600, true);
+            let selector = TagHash::new(g.u64());
+            let f_range = g.u64_in(1, 2_000);
+            let n_star = g.u64_in(0, f_range + 1);
+            let mut masks = vec![u64::MAX; 3];
+            let left_out = deselect_masks(&pop, &selector, f_range, n_star, &mut masks);
+            // Scalar reference: every active handle, ascending, that the
+            // circle filter leaves out.
+            let want: Vec<usize> = pop
+                .active_handles()
+                .into_iter()
+                .filter(|&h| {
+                    let id = pop.get(h).id;
+                    selector.modulo(id.hi(), id.lo(), f_range) >= n_star
+                })
+                .collect();
+            let mut got = Vec::new();
+            for (w, &mask) in masks.iter().enumerate() {
+                prop_assert_eq!(mask & !pop.active_words()[w], 0);
+                let mut bits = mask;
+                while bits != 0 {
+                    got.push(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            prop_assert_eq!(masks.len(), pop.active_words().len());
+            prop_assert_eq!(left_out, want.len());
+            prop_assert_eq!(got, want);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn prop_select_step_deselects_the_masked_tags_or_nothing() {
+        let empty_circles = std::cell::Cell::new(0);
+        check("ehpp select step applies masks or nothing", 256, |g| {
+            let cfg = EhppConfig {
+                subset_size: Some(1 + g.u64_below(2)),
+                ..EhppConfig::default()
+            };
+            let pop = random_population(g, 16, false);
+            let mut ctx = SimContext::new(pop, &SimConfig::paper(g.u64()));
+            let remaining = ctx.population.active_count();
+            let before = (
+                ctx.population.active_words().to_vec(),
+                ctx.population.deselected_words().to_vec(),
+                ctx.population.asleep_count(),
+            );
+            let mut stepper = EhppStepper::open(&cfg);
+            prop_assert!(matches!(
+                stepper.select_step(&mut ctx),
+                StepOutcome::Progressed
+            ));
+            let pop = &ctx.population;
+            match &stepper.inner {
+                None => {
+                    // Nobody joined: the state words and counts are untouched.
+                    empty_circles.set(empty_circles.get() + 1);
+                    prop_assert_eq!(ctx.counters.circles, 1);
+                    prop_assert_eq!(pop.active_words(), &before.0[..]);
+                    prop_assert_eq!(pop.deselected_words(), &before.1[..]);
+                    prop_assert_eq!(pop.active_count(), remaining);
+                    prop_assert_eq!(pop.asleep_count(), before.2);
+                }
+                Some(circle) if circle.final_drain => {
+                    prop_assert!(remaining as u64 <= stepper.n_star);
+                    prop_assert_eq!(pop.deselected_words(), &before.1[..]);
+                }
+                Some(_) => {
+                    // The selected tags stay active, the rest sit out; the
+                    // union is exactly the pre-selection active set.
+                    prop_assert!(pop.active_count() > 0);
+                    for (w, &was_active) in before.0.iter().enumerate() {
+                        let (a, d) = (pop.active_words()[w], pop.deselected_words()[w]);
+                        prop_assert_eq!(a & d, 0);
+                        prop_assert_eq!(a | d, was_active);
+                    }
+                    prop_assert_eq!(pop.asleep_count(), before.2);
+                }
+            }
+            Ok(())
+        });
+        assert!(empty_circles.get() > 0, "no case drew an empty circle");
     }
 }

@@ -28,7 +28,6 @@ use crate::json::{Json, JsonError, ToJson};
 use crate::population::TagPopulation;
 use crate::round_index::RoundIndex;
 use crate::span::SpanProfiler;
-use crate::tag::TagState;
 
 /// Configuration for a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,6 +255,9 @@ pub struct SimContext {
     /// Pool of reusable handle buffers for protocol sweeps and the faulty
     /// slot path — keeps inner loops allocation-free after warmup.
     scratch_pool: Vec<Vec<usize>>,
+    /// Reusable per-word masks for word-parallel population updates
+    /// (EHPP's circle filter), recycled across circles.
+    mask_arena: Vec<u64>,
     /// Per-tag transmission count, maintained only when the fault plan has
     /// kill rules.
     replies_sent: Vec<u64>,
@@ -303,6 +305,7 @@ impl SimContext {
             round_index: RoundIndex::new(),
             singles_arena: Vec::new(),
             scratch_pool: Vec::new(),
+            mask_arena: Vec::new(),
             replies_sent: if has_kills { vec![0; n] } else { Vec::new() },
             has_kills,
             fault_active: !config.fault.is_perfect(),
@@ -369,6 +372,19 @@ impl SimContext {
     pub fn recycle_scratch(&mut self, mut buf: Vec<usize>) {
         buf.clear();
         self.scratch_pool.push(buf);
+    }
+
+    /// Takes the reusable mask-word buffer (empty, capacity retained from
+    /// earlier use). Pair with [`SimContext::recycle_mask_words`].
+    pub fn take_mask_words(&mut self) -> Vec<u64> {
+        let mut buf = std::mem::take(&mut self.mask_arena);
+        buf.clear();
+        buf
+    }
+
+    /// Returns the mask-word buffer taken by [`SimContext::take_mask_words`].
+    pub fn recycle_mask_words(&mut self, buf: Vec<u64>) {
+        self.mask_arena = buf;
     }
 
     /// Advances time by `dt` under `category`, accruing listen time for
@@ -607,7 +623,7 @@ impl SimContext {
 
     fn poll_tag_inner(&mut self, vector_bits: u64, with_query_rep: bool, target: usize) -> bool {
         assert!(
-            self.population.get(target).is_active(),
+            self.population.is_active(target),
             "polling inactive tag {target}"
         );
         if with_query_rep {
@@ -869,11 +885,7 @@ impl SimContext {
     /// Handles of tags never successfully read (active or deselected) — the
     /// `uncollected` list of a stalled run's partial report.
     pub fn uncollected_handles(&self) -> Vec<usize> {
-        self.population
-            .iter()
-            .filter(|(_, t)| t.state != TagState::Asleep)
-            .map(|(i, _)| i)
-            .collect()
+        self.population.unread_handles()
     }
 
     /// Asserts the run completed correctly: every tag read exactly once.
@@ -996,6 +1008,7 @@ impl SimContext {
             round_index: RoundIndex::new(),
             singles_arena: Vec::new(),
             scratch_pool: Vec::new(),
+            mask_arena: Vec::new(),
             replies_sent,
             has_kills,
             fault_active: !config.fault.is_perfect(),
@@ -1051,7 +1064,7 @@ mod tests {
         let cfg = SimConfig::paper(3).with_channel(Channel::lossy(1.0));
         let mut c = SimContext::new(pop, &cfg);
         assert!(!c.poll_tag(5, true, 0));
-        assert!(c.population.get(0).is_active());
+        assert!(c.population.is_active(0));
         assert_eq!(c.counters.lost_replies, 1);
         assert_eq!(c.counters.polls, 0);
     }
@@ -1146,7 +1159,7 @@ mod tests {
         let cfg = SimConfig::paper(9).with_fault(fault);
         let mut c = SimContext::new(pop, &cfg);
         assert!(!c.poll_tag(3, true, 0));
-        assert!(c.population.get(0).is_active());
+        assert!(c.population.is_active(0));
         assert_eq!(c.counters.corrupted_replies, 3, "initial try + 2 retries");
         assert_eq!(c.counters.retransmissions, 2);
         assert_eq!(c.counters.polls, 0);
@@ -1229,7 +1242,7 @@ mod tests {
             other => panic!("expected corrupted slot, got {other:?}"),
         }
         assert_eq!(c.counters.corrupted_replies, 1);
-        assert!(c.population.get(0).is_active());
+        assert!(c.population.is_active(0));
     }
 
     #[test]
@@ -1407,7 +1420,7 @@ mod tests {
         let killed = FaultModel::perfect().with_plan(plan);
         c.inject_fault(killed.clone()).expect("valid fault");
         assert!(!c.poll_tag(1, true, 1));
-        assert!(c.population.get(1).is_active());
+        assert!(c.population.is_active(1));
 
         // A snapshot taken now restores against the *updated* config.
         cfg.fault = killed;

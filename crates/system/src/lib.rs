@@ -8,8 +8,8 @@
 //! * [`TagId`] — structured 96-bit EPC identifiers,
 //! * [`BitVec`] — the compact bit vector used for polling vectors, indicator
 //!   vectors, tag payloads and the TPP tag-side array `A`,
-//! * [`Tag`] / [`TagPopulation`] — tag state (payload, awake/asleep) and
-//!   population bookkeeping,
+//! * [`Tag`] / [`TagPopulation`] — a tag's ID and payload, and the
+//!   population that owns every tag's state (active/asleep/deselected),
 //! * [`Channel`] / [`SlotOutcome`] — slot resolution (empty / singleton /
 //!   collision) with optional reply-loss injection for robustness studies,
 //! * [`RoundIndex`] — the reusable per-round bucket sort of hashed tag

@@ -4,12 +4,15 @@
 //! population keeps tags in a dense `Vec` (index = stable handle) and tracks
 //! how many are still active so protocols can terminate without scanning.
 //!
-//! Since the hot-path rework the population also maintains an *active-set
-//! bitset* (one bit per handle, kept in sync by [`TagPopulation::sleep`],
-//! [`TagPopulation::deselect`] and [`TagPopulation::reselect_all`]) plus a
-//! structure-of-arrays cache of the raw ID words, so per-round work such as
-//! the singleton sift costs O(active) instead of O(population) and batch
-//! hashing can stream the ID blocks without touching the `Tag` structs.
+//! The population is the single owner of tag state. A [`Tag`] is only its
+//! ID and payload; the state lives in two bitsets (one bit per handle,
+//! LSB-first): `active_words` and `deselected_words`, with *asleep* meaning
+//! neither bit is set. Per-round work such as the singleton sift iterates
+//! the active bits in O(len/64 + active), EHPP's circle filter deselects a
+//! whole word of tags with one AND/OR, and the rejoin at the end of a
+//! circle is a single O(len/64) OR pass. A structure-of-arrays cache of the
+//! raw ID words lets batch hashing stream the ID blocks without touching
+//! the `Tag` structs.
 
 #[cfg(debug_assertions)]
 use std::cell::Cell;
@@ -24,18 +27,19 @@ use crate::tag::{Tag, TagState};
 #[derive(Debug, Clone)]
 pub struct TagPopulation {
     tags: Vec<Tag>,
+    /// Popcount of `active_words`, kept in step by every transition.
     active: usize,
+    /// Number of handles in neither bitset, kept in step likewise.
     asleep: usize,
-    /// Bit `i` of `active_words[i / 64]` (LSB-first) is set iff
-    /// `tags[i].is_active()` — the O(active/64) iteration substrate.
+    /// Bit `i` of `active_words[i / 64]` is set iff tag `i` is active.
     active_words: Vec<u64>,
+    /// Bit `i` of `deselected_words[i / 64]` is set iff tag `i` sits out
+    /// the current EHPP circle. Disjoint from `active_words`.
+    deselected_words: Vec<u64>,
     /// SoA cache of the raw EPC words, aligned with `tags` — lets the
     /// round index batch-hash ID blocks without chasing `Tag` structs.
     ids_hi: Vec<u32>,
     ids_lo: Vec<u64>,
-    /// Handles currently deselected, so `reselect_all` is O(deselected)
-    /// instead of a full-population sweep per circle.
-    deselected: Vec<usize>,
     /// Debug-only full-population scan counter; slot handlers assert it
     /// stays unchanged across a slot (no handler may rescan the population).
     #[cfg(debug_assertions)]
@@ -43,51 +47,73 @@ pub struct TagPopulation {
 }
 
 impl PartialEq for TagPopulation {
-    /// Populations compare by tag state alone; the bitset, SoA cache and
-    /// deselection stack are derived views kept consistent by construction.
+    /// Populations compare by tags and state words; the counts and the ID
+    /// cache are derived from those.
     fn eq(&self, other: &Self) -> bool {
         self.tags == other.tags
+            && self.active_words == other.active_words
+            && self.deselected_words == other.deselected_words
     }
 }
 
+/// The `n`-bit set with every bit on (padding bits of the last word off).
+fn full_words(n: usize) -> Vec<u64> {
+    let mut words = vec![u64::MAX; n.div_ceil(64)];
+    if let Some(last) = words.last_mut() {
+        if n % 64 != 0 {
+            *last = (1u64 << (n % 64)) - 1;
+        }
+    }
+    words
+}
+
+/// Calls `f` for every set bit of `words`, in ascending order.
+#[inline]
+fn for_each_bit(words: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
+    for (w, mut bits) in words.enumerate() {
+        while bits != 0 {
+            f(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
 impl TagPopulation {
-    /// Builds a population from `(id, info)` pairs.
+    /// Builds a population from `(id, info)` pairs, every tag active.
     ///
     /// # Panics
     /// Panics if two tags share an ID — EPCs are unique by definition and
     /// every protocol in the paper relies on it.
     pub fn new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Self {
-        let tags = tags
+        let tags: Vec<Tag> = tags
             .into_iter()
             .map(|(id, info)| Tag::new(id, info))
             .collect();
-        TagPopulation::from_tags(tags).unwrap_or_else(|id| panic!("duplicate tag ID {id}"))
+        let n = tags.len();
+        TagPopulation::from_parts(tags, full_words(n), vec![0; n.div_ceil(64)])
+            .unwrap_or_else(|id| panic!("duplicate tag ID {id}"))
     }
 
-    /// Builds a population from tags in any state, deriving the counts,
-    /// the active-set bitset, the ID cache and the deselection stack from
-    /// the tags themselves. Returns the first repeated ID as the error.
-    fn from_tags(tags: Vec<Tag>) -> Result<Self, TagId> {
+    /// Builds a population from its tags and state words (disjoint,
+    /// `len/64` rounded up, padding bits clear), deriving the counts and
+    /// the ID cache. Returns the first repeated ID as the error.
+    fn from_parts(
+        tags: Vec<Tag>,
+        active_words: Vec<u64>,
+        deselected_words: Vec<u64>,
+    ) -> Result<Self, TagId> {
         let mut seen = std::collections::HashSet::with_capacity(tags.len());
         for t in &tags {
             if !seen.insert(t.id) {
                 return Err(t.id);
             }
         }
-        let mut active_words = vec![0u64; tags.len().div_ceil(64)];
-        let mut active = 0;
-        let mut asleep = 0;
-        let mut deselected = Vec::new();
-        for (idx, t) in tags.iter().enumerate() {
-            match t.state {
-                TagState::Active => {
-                    active += 1;
-                    active_words[idx / 64] |= 1 << (idx % 64);
-                }
-                TagState::Asleep => asleep += 1,
-                TagState::Deselected => deselected.push(idx),
-            }
-        }
+        let active = popcount(&active_words);
+        let asleep = tags.len() - active - popcount(&deselected_words);
         let ids_hi: Vec<u32> = tags.iter().map(|t| t.id.hi()).collect();
         let ids_lo: Vec<u64> = tags.iter().map(|t| t.id.lo()).collect();
         Ok(TagPopulation {
@@ -95,9 +121,9 @@ impl TagPopulation {
             active,
             asleep,
             active_words,
+            deselected_words,
             ids_hi,
             ids_lo,
-            deselected,
             #[cfg(debug_assertions)]
             scans: Cell::new(0),
         })
@@ -129,6 +155,39 @@ impl TagPopulation {
         &self.tags[idx]
     }
 
+    /// The word index and bit of handle `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not a handle of this population.
+    #[inline]
+    fn slot(&self, idx: usize) -> (usize, u64) {
+        assert!(
+            idx < self.tags.len(),
+            "tag {idx} out of range for {} tags",
+            self.tags.len()
+        );
+        (idx / 64, 1u64 << (idx % 64))
+    }
+
+    /// The inventory state of tag `idx`.
+    pub fn state(&self, idx: usize) -> TagState {
+        let (w, bit) = self.slot(idx);
+        if self.active_words[w] & bit != 0 {
+            TagState::Active
+        } else if self.deselected_words[w] & bit != 0 {
+            TagState::Deselected
+        } else {
+            TagState::Asleep
+        }
+    }
+
+    /// Whether tag `idx` currently listens and replies.
+    #[inline]
+    pub fn is_active(&self, idx: usize) -> bool {
+        let (w, bit) = self.slot(idx);
+        self.active_words[w] & bit != 0
+    }
+
     /// All tags (any state), with handles. Counts as a full-population scan
     /// for the debug slot-handler assertion.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &Tag)> {
@@ -146,19 +205,25 @@ impl TagPopulation {
         out
     }
 
+    /// Handles of tags not yet read (active or deselected), ascending.
+    pub fn unread_handles(&self) -> Vec<usize> {
+        self.note_scan();
+        let mut out = Vec::with_capacity(self.tags.len() - self.asleep);
+        let unread = self
+            .active_words
+            .iter()
+            .zip(&self.deselected_words)
+            .map(|(a, d)| a | d);
+        for_each_bit(unread, |idx| out.push(idx));
+        out
+    }
+
     /// Calls `f` for every active handle in ascending order, by iterating
     /// the active-set bitset (O(len/64 + active), no allocation).
     #[inline]
-    pub fn for_each_active(&self, mut f: impl FnMut(usize)) {
+    pub fn for_each_active(&self, f: impl FnMut(usize)) {
         self.note_scan();
-        for (w, &word) in self.active_words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                f(idx);
-                bits &= bits - 1;
-            }
-        }
+        for_each_bit(self.active_words.iter().copied(), f);
     }
 
     /// Clears `out` and fills it with the active handles in ascending order.
@@ -182,62 +247,64 @@ impl TagPopulation {
         &self.active_words
     }
 
+    /// The deselected-set bitset words, laid out like
+    /// [`TagPopulation::active_words`].
+    pub fn deselected_words(&self) -> &[u64] {
+        &self.deselected_words
+    }
+
     /// The SoA cache of raw EPC words, aligned with handles: `(hi, lo)`.
     pub fn id_words(&self) -> (&[u32], &[u64]) {
         (&self.ids_hi, &self.ids_lo)
     }
 
-    #[inline]
-    fn clear_active_bit(&mut self, idx: usize) {
-        self.active_words[idx / 64] &= !(1u64 << (idx % 64));
-    }
-
-    #[inline]
-    fn set_active_bit(&mut self, idx: usize) {
-        self.active_words[idx / 64] |= 1u64 << (idx % 64);
-    }
-
     /// Puts tag `idx` to sleep (after a successful interrogation).
+    ///
+    /// # Panics
+    /// Panics if the tag is not active.
     pub fn sleep(&mut self, idx: usize) {
-        if self.tags[idx].is_active() {
-            self.tags[idx].sleep();
-            self.active -= 1;
-            self.asleep += 1;
-            self.clear_active_bit(idx);
-        } else {
+        let (w, bit) = self.slot(idx);
+        if self.active_words[w] & bit == 0 {
             panic!("tag {idx} slept twice");
         }
+        self.active_words[w] &= !bit;
+        self.active -= 1;
+        self.asleep += 1;
     }
 
-    /// Deselects tag `idx` for the current circle.
+    /// Deselects tag `idx` for the current circle (no-op unless active).
     pub fn deselect(&mut self, idx: usize) {
-        if self.tags[idx].is_active() {
-            self.tags[idx].deselect();
-            self.active -= 1;
-            self.clear_active_bit(idx);
-            self.deselected.push(idx);
-        }
+        let (w, bit) = self.slot(idx);
+        self.deselect_word(w, bit);
     }
 
-    /// Re-activates every deselected tag (start of the next circle).
-    /// O(deselected), not a population sweep.
+    /// Deselects, for the current circle, every active tag of word `w`
+    /// whose bit is set in `mask`; other bits are ignored.
+    #[inline]
+    pub fn deselect_word(&mut self, w: usize, mask: u64) {
+        let mask = mask & self.active_words[w];
+        self.active_words[w] &= !mask;
+        self.deselected_words[w] |= mask;
+        self.active -= mask.count_ones() as usize;
+    }
+
+    /// Re-activates every deselected tag (start of the next circle): one
+    /// O(len/64) OR pass, free when nobody is deselected.
     pub fn reselect_all(&mut self) {
-        while let Some(idx) = self.deselected.pop() {
-            debug_assert_eq!(self.tags[idx].state, TagState::Deselected);
-            self.tags[idx].reselect();
-            self.active += 1;
-            self.set_active_bit(idx);
+        if self.active + self.asleep == self.tags.len() {
+            return;
         }
+        for (a, d) in self.active_words.iter_mut().zip(&mut self.deselected_words) {
+            *a |= std::mem::take(d);
+        }
+        self.active = self.tags.len() - self.asleep;
     }
 
     /// Number of tags asleep (successfully read).
     pub fn asleep_count(&self) -> usize {
         debug_assert_eq!(
             self.asleep,
-            self.tags
-                .iter()
-                .filter(|t| t.state == TagState::Asleep)
-                .count()
+            self.tags.len() - popcount(&self.active_words) - popcount(&self.deselected_words)
         );
         self.asleep
     }
@@ -282,17 +349,14 @@ impl ToJson for TagPopulation {
     /// * `info_lens` — the payload lengths as runs `[[len, count], …]`;
     /// * `asleep`, `deselected` — `n`-bit hex bitsets of the tag states.
     ///
-    /// The active/asleep counts, active-set bitset and ID cache are
-    /// derived state and are rebuilt on load.
+    /// The counts and ID cache are derived state and are rebuilt on load.
     fn to_json(&self) -> Json {
         let n = self.tags.len();
         let info_bits = self.tags.iter().map(|t| t.info.len()).sum();
         let mut ids = HexWriter::with_bits(n * 96);
         let mut info = HexWriter::with_bits(info_bits);
         let mut runs: Vec<(usize, usize)> = Vec::new();
-        let mut asleep = vec![0u64; n.div_ceil(64)];
-        let mut deselected = vec![0u64; n.div_ceil(64)];
-        for (idx, t) in self.tags.iter().enumerate() {
+        for t in &self.tags {
             ids.push(u64::from(t.id.hi()), 32);
             ids.push(t.id.lo(), 64);
             t.info.pack_into(&mut info);
@@ -300,12 +364,12 @@ impl ToJson for TagPopulation {
                 Some((len, count)) if *len == t.info.len() => *count += 1,
                 _ => runs.push((t.info.len(), 1)),
             }
-            match t.state {
-                TagState::Active => {}
-                TagState::Asleep => asleep[idx / 64] |= 1 << (idx % 64),
-                TagState::Deselected => deselected[idx / 64] |= 1 << (idx % 64),
-            }
         }
+        let asleep: Vec<u64> = full_words(n)
+            .iter()
+            .zip(self.active_words.iter().zip(&self.deselected_words))
+            .map(|(all, (a, d))| all & !(a | d))
+            .collect();
         let runs = runs
             .into_iter()
             .map(|(len, count)| Json::Arr(vec![len.to_json(), count.to_json()]))
@@ -318,7 +382,7 @@ impl ToJson for TagPopulation {
             ("asleep".to_string(), Json::Str(encode_bitset(&asleep, n))),
             (
                 "deselected".to_string(),
-                Json::Str(encode_bitset(&deselected, n)),
+                Json::Str(encode_bitset(&self.deselected_words, n)),
             ),
         ])
     }
@@ -358,23 +422,21 @@ impl FromJson for TagPopulation {
                 "tag {idx} is both asleep and deselected"
             )));
         }
-        let bit = |words: &[u64], idx: usize| words[idx / 64] >> (idx % 64) & 1 == 1;
         let mut tags = Vec::with_capacity(n);
         for (len, count) in runs {
             for _ in 0..count {
-                let idx = tags.len();
                 let hi = ids.read(32) as u32;
                 let id = TagId::from_raw(hi, ids.read(64));
-                let mut tag = Tag::new(id, BitVec::unpack_from(&mut info, len));
-                if bit(&asleep, idx) {
-                    tag.state = TagState::Asleep;
-                } else if bit(&deselected, idx) {
-                    tag.state = TagState::Deselected;
-                }
-                tags.push(tag);
+                tags.push(Tag::new(id, BitVec::unpack_from(&mut info, len)));
             }
         }
-        TagPopulation::from_tags(tags).map_err(|id| JsonError(format!("duplicate tag ID {id}")))
+        let active = full_words(n)
+            .iter()
+            .zip(asleep.iter().zip(&deselected))
+            .map(|(all, (s, d))| all & !(s | d))
+            .collect();
+        TagPopulation::from_parts(tags, active, deselected)
+            .map_err(|id| JsonError(format!("duplicate tag ID {id}")))
     }
 }
 
@@ -443,11 +505,7 @@ mod tests {
         p.sleep(64);
         p.deselect(65);
         p.deselect(129);
-        let naive: Vec<usize> = p
-            .iter()
-            .filter(|(_, t)| t.is_active())
-            .map(|(i, _)| i)
-            .collect();
+        let naive: Vec<usize> = (0..p.len()).filter(|&i| p.is_active(i)).collect();
         let mut via_bits = Vec::new();
         p.collect_active_into(&mut via_bits);
         assert_eq!(via_bits, naive);
@@ -501,6 +559,46 @@ mod tests {
     fn duplicate_ids_rejected() {
         let id = TagId::from_raw(0, 7);
         let _ = TagPopulation::new(vec![(id, BitVec::new()), (id, BitVec::new())]);
+    }
+
+    #[test]
+    fn state_reads_the_bitsets() {
+        let mut p = pop(3);
+        assert_eq!(p.state(0), TagState::Active);
+        p.sleep(0);
+        p.deselect(1);
+        // Deselecting a sleeper is a no-op; sleep is terminal.
+        p.deselect(0);
+        assert_eq!(p.state(0), TagState::Asleep);
+        assert_eq!(p.state(1), TagState::Deselected);
+        assert!(!p.is_active(1) && p.is_active(2));
+        p.reselect_all();
+        assert_eq!(p.state(0), TagState::Asleep);
+        assert_eq!(p.state(1), TagState::Active);
+        assert_eq!(p.unread_handles(), vec![1, 2]);
+    }
+
+    #[test]
+    fn word_deselect_ignores_inactive_bits() {
+        let mut p = pop(70);
+        p.sleep(1);
+        p.deselect_word(0, 0b111);
+        assert_eq!(p.active_count(), 67);
+        assert_eq!(p.deselected_words(), &[0b101, 0][..]);
+        p.deselect_word(1, u64::MAX);
+        assert_eq!(p.active_count(), 61);
+        assert_eq!(p.active_words()[1], 0);
+        assert_eq!(p.deselected_words()[1], 0b11_1111);
+        p.reselect_all();
+        assert_eq!(p.active_count(), 69);
+        assert_eq!(p.deselected_words(), &[0, 0][..]);
+        assert_eq!(p.asleep_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn state_of_a_padding_bit_panics() {
+        let _ = pop(3).state(5);
     }
 
     #[test]

@@ -50,10 +50,16 @@ fn tag_and_state_round_trip() {
     for state in [TagState::Active, TagState::Asleep, TagState::Deselected] {
         round_trip(&state);
     }
-    let mut tag = Tag::new(TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
+    let tag = Tag::new(TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
     round_trip(&tag);
-    tag.sleep();
-    round_trip(&tag);
+    // A tag's state lives in its population, so a slept tag round-trips
+    // through the population's columns.
+    let mut pop = TagPopulation::new(vec![(tag.id, tag.info.clone())]);
+    pop.sleep(0);
+    round_trip(&pop);
+    let back: TagPopulation = from_json_str(&to_json_string(&pop)).unwrap();
+    assert_eq!(back.state(0), TagState::Asleep);
+    assert_eq!(back.get(0), &tag);
 }
 
 #[test]
