@@ -111,7 +111,7 @@ impl MissingTagApp {
             self.run_rounds(ctx, &handle_of, &mut unresolved, &mut present, &mut missing);
         if !done {
             return Err(PollingError::Stalled {
-                partial_report: Report::from_context("missing-id", ctx),
+                partial_report: Box::new(Report::from_context("missing-id", ctx)),
                 uncollected: unresolved,
                 cause: StallCause::RoundCap,
             });
@@ -177,13 +177,8 @@ impl MissingTagApp {
                     unresolved,
                 };
             }
-            let base = policy.backoff_us(passes);
-            let jitter = if base > 1 {
-                ctx.rng.below(base / 2 + 1)
-            } else {
-                0
-            };
-            ctx.charge_recovery_backoff(passes, base + jitter);
+            let backoff = policy.jittered_backoff_us(passes, &mut ctx.rng);
+            ctx.charge_recovery_backoff(passes, backoff);
             passes += 1;
             ctx.note_recovery_pass(passes, unresolved.len());
         }

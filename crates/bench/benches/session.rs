@@ -75,7 +75,7 @@ fn chaos_case(
     let mut ctx = SimContext::new(scenario.build_population(), cfg);
     let mut session = Session::open(protocol, &ctx);
     if let Some(p) = policy {
-        session = session.with_policy(p.clone());
+        session = session.with_policy(*p);
     }
     let mut boundaries = 0u64;
     let reference = loop {
@@ -105,7 +105,7 @@ fn chaos_case(
     let mut ctx = SimContext::new(scenario.build_population(), cfg);
     let mut session = Session::open(protocol, &ctx);
     if let Some(p) = policy {
-        session = session.with_policy(p.clone());
+        session = session.with_policy(*p);
     }
     let (snapshot_bytes, end, ctx) = match session.run_for(&mut ctx, kill_step) {
         Some(end) => (0, end, ctx),

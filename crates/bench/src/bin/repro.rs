@@ -484,7 +484,7 @@ fn energy(engine: &mut SweepEngine, opts: &ReproOptions) {
 /// passes-to-completion and time overhead vs the fault-free baseline.
 fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
     use rfid_obs::{metrics_from_log, reconcile};
-    use rfid_protocols::{run_recovered, RecoveryOutcome, RecoveryPolicy};
+    use rfid_protocols::{run_recovered, RecoveryPolicy, SessionEnd};
     use rfid_system::fault::{FaultPlan, KillRule};
     use rfid_system::{FaultModel, GilbertElliott, Json, SimConfig, SimContext, ToJson};
 
@@ -512,7 +512,7 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
             Box::new(hpp_cfg.into_protocol())
         }),
         Row::new("EHPP", to_json_string(&ehpp_cfg), move || {
-            Box::new(ehpp_cfg.clone().into_protocol())
+            Box::new(ehpp_cfg.into_protocol())
         }),
         Row::new("TPP", to_json_string(&tpp_cfg), move || {
             Box::new(tpp_cfg.into_protocol())
@@ -657,7 +657,7 @@ fn recovery(engine: &mut SweepEngine, opts: &ReproOptions) {
     let mut ctx = SimContext::new(sc.build_population(), &cfg);
     let protocol = HppConfig::default().into_protocol();
     let out = run_recovered(&protocol, &RecoveryPolicy::unbounded(), &mut ctx);
-    let RecoveryOutcome::Degraded { coverage, .. } = out else {
+    let SessionEnd::Degraded { coverage, .. } = out else {
         panic!("a killed tag must degrade the run");
     };
     reconcile(&ctx.log, &ctx.counters).expect("recovery trace reconciles against counters");
@@ -763,8 +763,8 @@ fn session(opts: &ReproOptions) {
 
     println!("\n== Session — crash-chaos checkpoint/restore gate (n = 150, seed 31) ==");
     println!(
-        "{:<12} {:>6} {:>10} {:>10}  {}",
-        "protocol", "kill@", "snapshot", "restored", "bit-identical"
+        "{:<12} {:>6} {:>10} {:>10}  bit-identical",
+        "protocol", "kill@", "snapshot", "restored"
     );
     let scenario = Scenario::uniform(150, 4).with_seed(31);
     let cfg = SimConfig::paper(scenario.protocol_seed()).with_trace();
@@ -861,7 +861,7 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
         };
         let json = to_json_string(&cfg);
         rows.push(Row::new("EHPP-subset", json, move || {
-            Box::new(cfg.clone().into_protocol())
+            Box::new(cfg.into_protocol())
         }));
     }
     let mic_ks = [1usize, 2, 4, 7];
@@ -872,7 +872,7 @@ fn ablations(engine: &mut SweepEngine, opts: &ReproOptions) {
         };
         let json = to_json_string(&cfg);
         rows.push(Row::new("MIC-k", json, move || {
-            Box::new(cfg.clone().into_protocol())
+            Box::new(cfg.into_protocol())
         }));
     }
     rows.push(Row::new(

@@ -34,9 +34,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use rfid_apps::info_collect::{run_polling, run_polling_in};
+use rfid_apps::Collection;
 use rfid_obs::MetricsRegistry;
-use rfid_protocols::{run_recovered, RecoveryPolicy, Report};
+use rfid_protocols::{RecoveryPolicy, Report, Session, SessionEnd};
 use rfid_system::{to_json_string, FaultModel, FromJson, Json, SimConfig, SimContext, ToJson};
 use rfid_workloads::Scenario;
 
@@ -379,29 +379,29 @@ impl SweepEngine {
     }
 }
 
-/// Executes one Monte-Carlo run of a cell. Plain cells keep the validated
-/// [`run_polling`] path bit-for-bit; faulted or recovered cells build the
-/// context explicitly. A recovered run that degrades still returns its
+/// Executes one Monte-Carlo run of a cell through one validated
+/// [`Collection`] session: the paper config for the run's seed, plus the
+/// cell's fault model and recovery policy when it has them. A complete run
+/// passes the polling invariant; a stall without a policy panics with the
+/// `PollingError` display; a recovered run that degrades still returns its
 /// partial report (the recovery counters inside carry passes and backoff).
 fn execute_run(
     cell: &Cell<'_>,
     protocol: &dyn rfid_protocols::PollingProtocol,
     sc: &Scenario,
 ) -> Report {
-    if cell.fault.is_none() && cell.recovery.is_none() {
-        return run_polling(protocol, sc).report;
-    }
     let mut cfg = SimConfig::paper(sc.protocol_seed());
     if let Some(fault) = &cell.fault {
         cfg = cfg.with_fault(fault.clone());
     }
     let mut ctx = SimContext::new(sc.build_population(), &cfg);
-    match &cell.recovery {
-        Some(policy) => run_recovered(protocol, policy, &mut ctx).report().clone(),
-        None => match run_polling_in(protocol, &mut ctx) {
-            Ok(outcome) => outcome.report,
-            Err(e) => panic!("{e}"),
-        },
+    let mut session = Session::open(protocol, &ctx);
+    if let Some(policy) = cell.recovery {
+        session = session.with_policy(policy);
+    }
+    match Collection::run(session, &mut ctx).end {
+        SessionEnd::Complete { report, .. } | SessionEnd::Degraded { report, .. } => report,
+        SessionEnd::Stalled(e) => panic!("{e}"),
     }
 }
 
@@ -416,6 +416,10 @@ struct Job {
     key: String,
 }
 
+/// One worker's share of a sweep: `(pending index, reports)` per job it
+/// ran, plus its private metrics.
+type WorkerOutput = (Vec<(usize, Vec<Report>)>, MetricsRegistry);
+
 /// Executes `pending` jobs across `workers` scoped threads. Returns the
 /// computed reports in `pending` order plus the per-worker metrics merged
 /// in worker order (exact bucket/counter sums, so the totals are
@@ -429,47 +433,45 @@ fn run_jobs(
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let mut slots: Vec<Option<Vec<Report>>> = (0..pending.len()).map(|_| None).collect();
-    let worker_results: Vec<(Vec<(usize, Vec<Report>)>, MetricsRegistry)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        let mut metrics = MetricsRegistry::enabled();
-                        loop {
-                            let j = cursor.fetch_add(1, Ordering::Relaxed);
-                            if j >= pending.len() {
-                                break;
-                            }
-                            let job = pending[j];
-                            let cell = &cells[job.cell];
-                            let jt = Instant::now();
-                            let mut reports = Vec::with_capacity(job.len as usize);
-                            for r in job.start..job.start + job.len {
-                                let sc = cell.scenario.for_run(r);
-                                let protocol = (cell.factory)();
-                                reports.push(execute_run(cell, protocol.as_ref(), &sc));
-                            }
-                            metrics.observe("sweep_job_us", jt.elapsed().as_micros() as u64);
-                            metrics.inc("sweep_runs", job.len);
-                            local.push((j, reports));
-                            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            if progress
-                                && finished * 10 / pending.len()
-                                    != (finished - 1) * 10 / pending.len()
-                            {
-                                eprintln!("sweep: {finished}/{} jobs", pending.len());
-                            }
+    let worker_results: Vec<WorkerOutput> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    let mut metrics = MetricsRegistry::enabled();
+                    loop {
+                        let j = cursor.fetch_add(1, Ordering::Relaxed);
+                        if j >= pending.len() {
+                            break;
                         }
-                        (local, metrics)
-                    })
+                        let job = pending[j];
+                        let cell = &cells[job.cell];
+                        let jt = Instant::now();
+                        let mut reports = Vec::with_capacity(job.len as usize);
+                        for r in job.start..job.start + job.len {
+                            let sc = cell.scenario.for_run(r);
+                            let protocol = (cell.factory)();
+                            reports.push(execute_run(cell, protocol.as_ref(), &sc));
+                        }
+                        metrics.observe("sweep_job_us", jt.elapsed().as_micros() as u64);
+                        metrics.inc("sweep_runs", job.len);
+                        local.push((j, reports));
+                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                        if progress
+                            && finished * 10 / pending.len() != (finished - 1) * 10 / pending.len()
+                        {
+                            eprintln!("sweep: {finished}/{} jobs", pending.len());
+                        }
+                    }
+                    (local, metrics)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker panicked"))
+            .collect()
+    });
     let mut merged = MetricsRegistry::enabled();
     for (local, metrics) in worker_results {
         merged.merge(&metrics);

@@ -298,7 +298,7 @@ impl Service {
         }
         let ctx = SimContext::new(scenario.build_population(), &config);
         let mut session = Session::open(protocol.as_ref(), &ctx);
-        if let Some(policy) = req.policy.clone() {
+        if let Some(policy) = req.policy {
             session = session.with_policy(policy);
         }
         if let Some(deadline) = req.deadline_us {
@@ -415,8 +415,8 @@ impl Service {
             // even when the supervise cadence differs.
             let mut target = budget_end;
             for stride in [rs.progress_every, supervise] {
-                if stride > 0 {
-                    let boundary = (now / stride + 1) * stride;
+                if let Some(strides) = now.checked_div(stride) {
+                    let boundary = (strides + 1) * stride;
                     target = Some(target.map_or(boundary, |t| t.min(boundary)));
                 }
             }

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use rfid_hash::prop::{self, Gen};
 use rfid_hash::prop_assert;
-use rfid_system::Json;
+use rfid_protocols::RecoveryPolicy;
+use rfid_system::{FaultModel, Json, SimConfig};
 use rfid_wire::{
     loopback, Command, ErrorCode, Frame, OpenRequest, Response, Transport, MAX_PAYLOAD,
 };
@@ -320,6 +321,74 @@ fn huge_open_requests_are_rejected_at_admission() {
         client.run(session, None, |_, _, _, _| {}),
         Ok(RunEnd::Done(_))
     ));
+    drop(client);
+    server.join().unwrap().expect("clean close");
+}
+
+/// A recovery policy is decoded exactly, so a client can ask for the
+/// largest possible backoff. A jammed session under that policy must still
+/// end in a typed answer — backoff arithmetic saturates instead of
+/// overflowing — and a policy whose circuit breaker could never close is a
+/// typed decode error. The connection keeps serving either way.
+#[test]
+fn hostile_recovery_policies_get_typed_answers() {
+    let (mut server_end, client_end) = loopback();
+    let server = std::thread::spawn(move || {
+        serve_connection(
+            &mut server_end,
+            &mut Service::new(),
+            &AtomicBool::new(false),
+        )
+    });
+    let mut client = DaemonClient::new(client_end);
+    let jammed = |policy: RecoveryPolicy| {
+        let mut req = OpenRequest::new("HPP", 32, 4, 9);
+        req.config =
+            Some(SimConfig::paper(9).with_fault(FaultModel::perfect().with_downlink_loss(1.0)));
+        req.policy = Some(policy);
+        req
+    };
+
+    // Three breaker windows: two stalled passes, each charged a saturated
+    // u64::MAX backoff, before the circuit opens.
+    let max_backoff = RecoveryPolicy {
+        max_passes: 0,
+        base_backoff_us: u64::MAX,
+        max_backoff_us: u64::MAX,
+        zero_progress_limit: 3,
+    };
+    let session = client.open(jammed(max_backoff)).expect("policy admitted");
+    match client.run(session, None, |_, _, _, _| {}) {
+        Ok(RunEnd::Done(outcome)) => {
+            assert_eq!(outcome.status, "degraded");
+            assert_eq!(outcome.cause.as_deref(), Some("circuit-open"));
+            assert_eq!(outcome.passes, 3);
+            let counters = outcome.report.get("counters").expect("report has counters");
+            let backoff: u64 = counters.field("recovery_backoff_us").expect("counter");
+            assert_eq!(backoff, u64::MAX, "the backoff counter saturates");
+        }
+        other => panic!("expected a degraded Done, got {other:?}"),
+    }
+
+    let no_breaker = RecoveryPolicy {
+        zero_progress_limit: 0,
+        ..RecoveryPolicy::default()
+    };
+    match client.open(jammed(no_breaker)) {
+        Err(ClientError::Server {
+            code: ErrorCode::BadPayload,
+            message,
+        }) => assert!(message.contains("zero_progress_limit"), "{message}"),
+        other => panic!("expected BadPayload, got {other:?}"),
+    }
+
+    let session = client
+        .open(OpenRequest::new("TPP", 64, 4, 5))
+        .expect("connection still usable");
+    match client.run(session, None, |_, _, _, _| {}) {
+        Ok(RunEnd::Done(outcome)) => assert_eq!(outcome.status, "complete"),
+        other => panic!("expected a complete Done, got {other:?}"),
+    }
     drop(client);
     server.join().unwrap().expect("clean close");
 }

@@ -75,19 +75,21 @@ impl FlightRecorder {
         &self.dir
     }
 
-    /// Writes a postmortem bundle for a run that ended in `cause`
-    /// (`"stalled"`, `"circuit-open"`, `"out-of-passes"`, `"deadline"`).
+    /// Writes a postmortem bundle for a run that ended as `ending`.
     /// Returns the bundle path: `postmortem-<protocol>-<cause>-<seed>.json`.
     pub fn dump(
         &self,
-        protocol: &str,
-        cause: &str,
+        ending: RunEnding<'_>,
         config: &SimConfig,
         ctx: &SimContext,
-        report: Json,
-        passes: u64,
-        coverage: f64,
     ) -> io::Result<PathBuf> {
+        let RunEnding {
+            protocol,
+            cause,
+            report,
+            passes,
+            coverage,
+        } = ending;
         fs::create_dir_all(&self.dir)?;
         let events = ctx.log.events();
         let skip = events.len().saturating_sub(self.last_events);
@@ -137,6 +139,22 @@ impl FlightRecorder {
         fs::write(&path, bundle.to_string())?;
         Ok(path)
     }
+}
+
+/// How a dumped run ended: what a bundle records beside the context.
+#[derive(Debug, Clone)]
+pub struct RunEnding<'a> {
+    /// Protocol display name.
+    pub protocol: &'a str,
+    /// End cause: `"stalled"`, `"circuit-open"`, `"out-of-passes"` or
+    /// `"deadline"`.
+    pub cause: &'a str,
+    /// The (possibly partial) report, as JSON.
+    pub report: Json,
+    /// Passes attempted.
+    pub passes: u64,
+    /// Fraction of the population collected, in `[0, 1]`.
+    pub coverage: f64,
 }
 
 /// A parsed postmortem bundle — everything [`FlightRecorder::dump`] wrote,
@@ -242,7 +260,17 @@ mod tests {
         let rec = FlightRecorder::new(&dir).with_last_events(3);
         let report = Json::Obj(vec![("polls".to_string(), Json::UInt(4))]);
         let path = rec
-            .dump("hpp", "stalled", &config, &ctx, report, 2, 0.5)
+            .dump(
+                RunEnding {
+                    protocol: "hpp",
+                    cause: "stalled",
+                    report,
+                    passes: 2,
+                    coverage: 0.5,
+                },
+                &config,
+                &ctx,
+            )
             .expect("dump writes");
         assert_eq!(
             path.file_name().unwrap().to_str().unwrap(),
@@ -277,7 +305,17 @@ mod tests {
         let ctx = stalled_ctx(&config, 4);
         let rec = FlightRecorder::new(&dir);
         let path = rec
-            .dump("tpp", "circuit-open", &config, &ctx, Json::Null, 9, 0.0)
+            .dump(
+                RunEnding {
+                    protocol: "tpp",
+                    cause: "circuit-open",
+                    report: Json::Null,
+                    passes: 9,
+                    coverage: 0.0,
+                },
+                &config,
+                &ctx,
+            )
             .expect("dump writes");
         let bundle = FlightBundle::load(&path).expect("bundle parses");
         assert!(bundle.events.is_empty());

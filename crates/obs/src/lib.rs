@@ -35,7 +35,7 @@ pub mod reconcile;
 pub mod span;
 pub mod trace;
 
-pub use flight::{FlightBundle, FlightRecorder};
+pub use flight::{FlightBundle, FlightRecorder, RunEnding};
 pub use histogram::Log2Histogram;
 pub use metrics::{
     expose_text, wire_counters, DeltaCursor, MetricsRegistry, SeriesPoint, TimeSeries,

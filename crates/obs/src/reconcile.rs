@@ -54,7 +54,9 @@ where
             Event::DesyncRecovered { .. } => c.desync_recoveries += 1,
             Event::StallTick { .. } => {}
             Event::RecoveryPassStarted { .. } => c.recovery_passes += 1,
-            Event::BackoffWaited { us, .. } => c.recovery_backoff_us += us,
+            Event::BackoffWaited { us, .. } => {
+                c.recovery_backoff_us = c.recovery_backoff_us.saturating_add(us)
+            }
             Event::CircuitOpened { .. } => {}
         }
     }
@@ -111,8 +113,11 @@ impl fmt::Display for ReconcileError {
 
 impl std::error::Error for ReconcileError {}
 
+/// A counter field's name and accessor.
+type CounterField = (&'static str, fn(&Counters) -> u64);
+
 /// The discrete (event-countable) counter fields, with accessors.
-const FIELDS: [(&str, fn(&Counters) -> u64); 16] = [
+const FIELDS: [CounterField; 16] = [
     ("reader_bits", |c| c.reader_bits),
     ("tag_bits", |c| c.tag_bits),
     ("vector_bits", |c| c.vector_bits),

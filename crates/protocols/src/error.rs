@@ -57,8 +57,9 @@ pub enum PollingError {
     /// The protocol stopped making progress (or hit its round cap) with
     /// tags still uncollected.
     Stalled {
-        /// Everything collected (and spent) up to the stall.
-        partial_report: Report,
+        /// Everything collected (and spent) up to the stall (boxed so the
+        /// error stays small next to `Ok` values).
+        partial_report: Box<Report>,
         /// IDs of the tags never successfully read.
         uncollected: Vec<TagId>,
         /// What stopped the loop.
@@ -81,7 +82,7 @@ impl PollingError {
             .map(|h| ctx.population.get(h).id)
             .collect();
         PollingError::Stalled {
-            partial_report: Report::from_context(protocol, ctx),
+            partial_report: Box::new(Report::from_context(protocol, ctx)),
             uncollected,
             cause,
         }

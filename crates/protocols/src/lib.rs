@@ -47,11 +47,10 @@ pub mod tree;
 pub use ehpp::{Ehpp, EhppConfig};
 pub use error::{PollingError, StallCause, StallGuard, DEFAULT_STALL_ROUNDS};
 pub use hpp::{Hpp, HppConfig};
-pub use recovery::{run_recovered, RecoveryOutcome, RecoveryPolicy, RecoverySession};
+pub use recovery::RecoveryPolicy;
 pub use report::Report;
 pub use session::{
-    run_recovered_session, run_session, DegradeCause, ProtocolStepper, Session, SessionEnd,
-    StepDiscipline, StepOutcome,
+    run_recovered, DegradeCause, ProtocolStepper, Session, SessionEnd, StepDiscipline, StepOutcome,
 };
 pub use tagside::{Broadcast, TagMachine};
 pub use tpp::{IndexRule, Tpp, TppConfig};
@@ -91,7 +90,13 @@ pub trait PollingProtocol {
     /// [`PollingError::Stalled`] — with the partial report and the
     /// uncollected IDs — once progress provably stops.
     fn try_run(&self, ctx: &mut SimContext) -> Result<Report, PollingError> {
-        session::run_session(self, ctx)
+        match Session::open(self, ctx).run(ctx) {
+            SessionEnd::Complete { report, .. } => Ok(report),
+            SessionEnd::Stalled(err) => Err(err),
+            SessionEnd::Degraded { .. } => {
+                unreachable!("a bare session has no policy or deadline to degrade through")
+            }
+        }
     }
 
     /// Runs the protocol to completion, panicking on non-convergence (the

@@ -1,52 +1,48 @@
-//! The recovery layer: turn faulted polling runs into completed inventories.
+//! The recovery policy: how a faulted polling run is turned into a
+//! completed inventory.
 //!
-//! PR 2 made non-convergence *typed* ([`PollingError::Stalled`]) but left it
-//! terminal: the caller got a partial report and nobody re-polled the
-//! `uncollected` tags. The hash-round structure of HPP/EHPP (and TPP's tree
-//! descent) makes re-polling passes natural and cheap — polled tags are
-//! asleep, so rerunning `try_run` on the same [`SimContext`] automatically
-//! re-seeds the hash rounds (or re-descends the tree) over *only* the
-//! uncollected remainder, and counters/clock accumulate in place so partial
-//! reports merge by construction. [`RecoverySession`] wraps any
-//! [`PollingProtocol`] with that loop, adding:
+//! A [`Session`](crate::Session) with a [`RecoveryPolicy`] installed (or
+//! the [`run_recovered`](crate::run_recovered) helper) treats a stall as
+//! the end of a *pass*, not of the run. Polled tags are asleep, so the next
+//! pass re-seeds the hash rounds (or re-descends the tree) over only the
+//! uncollected remainder, and counters, clock and trace accumulate in the
+//! shared context. The policy sets:
 //!
-//! * **bounded re-polling passes** — each pass is a full `try_run` with a
-//!   fresh per-pass round budget,
+//! * **bounded re-polling passes** — each pass gets a fresh round budget,
 //! * **sim-time exponential backoff with jitter** — drawn from the context's
 //!   deterministic RNG and charged on the C1G2 clock (never the wall
 //!   clock), so recovery overhead shows up in execution-time results,
 //! * **a circuit breaker** — after [`RecoveryPolicy::max_passes`] passes, or
-//!   when [`RecoveryPolicy::zero_progress_limit`] consecutive passes poll
-//!   nothing, the session stops and returns a typed
-//!   [`RecoveryOutcome::Degraded`] with an explicit coverage fraction
-//!   instead of an error,
-//! * **full observability** — `RecoveryPassStarted` / `BackoffWaited` /
-//!   `CircuitOpened` trace events plus the `recovery_passes` and
-//!   `recovery_backoff_us` counters, reconciled bit-for-bit by `rfid-obs`.
+//!   once [`RecoveryPolicy::zero_progress_limit`] stall windows of idle
+//!   rounds accumulate, the session ends as
+//!   [`SessionEnd::Degraded`](crate::SessionEnd::Degraded) with an explicit
+//!   coverage fraction instead of an error.
 //!
-//! Pass 1 is a bare `try_run`: no extra RNG draws, no events, no time — so
-//! under [`rfid_system::FaultModel::perfect`] a recovered run is
-//! bit-identical to an unwrapped one (the zero-cost property, enforced by a
-//! workspace property test over all protocols).
+//! Every pass beyond the first shows up as `RecoveryPassStarted` /
+//! `BackoffWaited` / `CircuitOpened` trace events and in the
+//! `recovery_passes` / `recovery_backoff_us` counters, reconciled
+//! bit-for-bit by `rfid-obs`. Pass 1 is a bare run: no extra RNG draws, no
+//! events, no time — so under [`rfid_system::FaultModel::perfect`] a
+//! recovered run is bit-identical to an unwrapped one.
 //!
 //! The convergence invariant the chaos-soak gate asserts: with unbounded
 //! passes, coverage reaches 1.0 whenever loss < 1.0 — only a genuinely dead
 //! configuration (permanent jam, killed tag) opens the circuit. The breaker
 //! weighs evidence in *idle rounds*, not passes: a zero-progress
-//! [`StallCause::RoundCap`] pass contributes only its small round budget
-//! (the budget ran out; a fresh pass can still converge) while a
-//! [`StallCause::NoProgress`] stall contributes a full
+//! [`StallCause::RoundCap`](crate::StallCause::RoundCap) pass contributes
+//! only its small round budget (the budget ran out; a fresh pass can still
+//! converge) while a [`StallCause::NoProgress`](crate::StallCause::NoProgress)
+//! stall contributes a full
 //! [`DEFAULT_STALL_ROUNDS`](crate::DEFAULT_STALL_ROUNDS) guard window, and
 //! any progress resets the count — so at any survivable loss rate the odds
 //! of accumulating the `zero_progress_limit × 256`-round threshold are
 //! below `0.5^512`.
 
-use rfid_system::SimContext;
+use rfid_hash::Xoshiro256;
+use rfid_system::{FromJson, Json, JsonError, ToJson};
 
-use crate::report::Report;
-use crate::PollingProtocol;
-
-/// How a [`RecoverySession`] re-polls, backs off, and gives up.
+/// How a recovering [`Session`](crate::Session) re-polls, backs off, and
+/// gives up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Maximum polling passes (including the initial attempt); `0` means
@@ -120,131 +116,51 @@ impl RecoveryPolicy {
             .saturating_mul(1u64 << shift)
             .min(self.max_backoff_us)
     }
-}
 
-rfid_system::impl_json_struct!(RecoveryPolicy {
-    max_passes,
-    base_backoff_us,
-    max_backoff_us,
-    zero_progress_limit,
-});
-
-/// How a recovered run ended.
-#[derive(Debug, Clone)]
-pub enum RecoveryOutcome {
-    /// Every tag was collected.
-    Complete {
-        /// The cumulative report (all passes, backoff time included).
-        report: Report,
-        /// Passes used (1 = no recovery was needed).
-        passes: u64,
-    },
-    /// The circuit breaker opened with tags still uncollected.
-    Degraded {
-        /// The cumulative partial report.
-        report: Report,
-        /// Fraction of the population collected, in `[0, 1]`.
-        coverage: f64,
-        /// Passes attempted before giving up.
-        passes: u64,
-    },
-}
-
-impl RecoveryOutcome {
-    /// The (possibly partial) report, regardless of variant.
-    pub fn report(&self) -> &Report {
-        match self {
-            RecoveryOutcome::Complete { report, .. } => report,
-            RecoveryOutcome::Degraded { report, .. } => report,
-        }
-    }
-
-    /// Collected fraction: `1.0` for a complete run.
-    pub fn coverage(&self) -> f64 {
-        match self {
-            RecoveryOutcome::Complete { .. } => 1.0,
-            RecoveryOutcome::Degraded { coverage, .. } => *coverage,
-        }
-    }
-
-    /// Passes used.
-    pub fn passes(&self) -> u64 {
-        match self {
-            RecoveryOutcome::Complete { passes, .. } => *passes,
-            RecoveryOutcome::Degraded { passes, .. } => *passes,
-        }
-    }
-
-    /// Whether every tag was collected.
-    pub fn is_complete(&self) -> bool {
-        matches!(self, RecoveryOutcome::Complete { .. })
+    /// The backoff actually charged after stalled pass `pass`:
+    /// [`RecoveryPolicy::backoff_us`] plus a jitter drawn uniformly from
+    /// `[0, base / 2]` (no draw at all when the base is ≤ 1 µs), saturating
+    /// at `u64::MAX` so a hostile policy cannot overflow.
+    pub fn jittered_backoff_us(&self, pass: u64, rng: &mut Xoshiro256) -> u64 {
+        let base = self.backoff_us(pass);
+        let jitter = if base > 1 { rng.below(base / 2 + 1) } else { 0 };
+        base.saturating_add(jitter)
     }
 }
 
-/// A recovery-wrapped protocol run: re-polls the uncollected remainder after
-/// every stall, with backoff, until complete or the circuit breaker opens.
-#[derive(Debug, Clone)]
-pub struct RecoverySession<P> {
-    protocol: P,
-    policy: RecoveryPolicy,
-}
-
-impl<P: PollingProtocol> RecoverySession<P> {
-    /// Wraps `protocol` under `policy`.
-    pub fn new(protocol: P, policy: RecoveryPolicy) -> Self {
-        RecoverySession { protocol, policy }
-    }
-
-    /// The wrapped protocol.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RecoveryPolicy {
-        &self.policy
-    }
-
-    /// Drives the wrapped protocol to completion (or degradation) on `ctx`.
-    ///
-    /// Pass 1 is a bare [`PollingProtocol::try_run`] — zero recovery
-    /// bookkeeping, so a run that never stalls is bit-identical to an
-    /// unwrapped one. Every further pass re-polls only the tags still
-    /// active (polled tags are asleep), merging counters, clock and trace
-    /// in the shared context.
-    pub fn run(&self, ctx: &mut SimContext) -> RecoveryOutcome {
-        run_recovered(&self.protocol, &self.policy, ctx)
+impl ToJson for RecoveryPolicy {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("max_passes".to_string(), self.max_passes.to_json()),
+            (
+                "base_backoff_us".to_string(),
+                self.base_backoff_us.to_json(),
+            ),
+            ("max_backoff_us".to_string(), self.max_backoff_us.to_json()),
+            (
+                "zero_progress_limit".to_string(),
+                self.zero_progress_limit.to_json(),
+            ),
+        ])
     }
 }
 
-/// Free-function form of [`RecoverySession::run`] for unsized protocols
-/// (e.g. `&dyn PollingProtocol` out of a factory).
-pub fn run_recovered<P: PollingProtocol + ?Sized>(
-    protocol: &P,
-    policy: &RecoveryPolicy,
-    ctx: &mut SimContext,
-) -> RecoveryOutcome {
-    // The pass loop — per-pass progress accounting, the idle-round circuit
-    // breaker, backoff with jitter, reselection — lives in the session
-    // driver now, shared with deadline budgets and checkpoint/restore; this
-    // wrapper only maps the richer SessionEnd onto the recovery vocabulary.
-    match crate::session::run_recovered_session(protocol, policy, ctx) {
-        crate::session::SessionEnd::Complete { report, passes } => {
-            RecoveryOutcome::Complete { report, passes }
+/// Decoding enforces what [`RecoveryPolicy::with_zero_progress_limit`]
+/// asserts: a zero breaker threshold is a typed error, not a policy.
+impl FromJson for RecoveryPolicy {
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        let policy = RecoveryPolicy {
+            max_passes: json.field("max_passes")?,
+            base_backoff_us: json.field("base_backoff_us")?,
+            max_backoff_us: json.field("max_backoff_us")?,
+            zero_progress_limit: json.field("zero_progress_limit")?,
+        };
+        if policy.zero_progress_limit == 0 {
+            return Err(JsonError(
+                "recovery policy zero_progress_limit must be positive".to_string(),
+            ));
         }
-        crate::session::SessionEnd::Degraded {
-            report,
-            coverage,
-            passes,
-            ..
-        } => RecoveryOutcome::Degraded {
-            report,
-            coverage,
-            passes,
-        },
-        crate::session::SessionEnd::Stalled(_) => {
-            unreachable!("a session with a policy resolves every stall")
-        }
+        Ok(policy)
     }
 }
 
@@ -252,6 +168,7 @@ pub fn run_recovered<P: PollingProtocol + ?Sized>(
 mod tests {
     use super::*;
     use crate::hpp::HppConfig;
+    use crate::session::{run_recovered, Session, SessionEnd};
     use crate::tpp::TppConfig;
     use rfid_system::fault::{FaultModel, FaultPlan, KillRule};
     use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
@@ -274,11 +191,10 @@ mod tests {
     #[test]
     fn perfect_channel_completes_in_one_pass() {
         let mut ctx = ctx_with(100, 1, FaultModel::perfect());
-        let session = RecoverySession::new(
-            HppConfig::default().into_protocol(),
-            RecoveryPolicy::unbounded(),
-        );
-        let out = session.run(&mut ctx);
+        let protocol = HppConfig::default().into_protocol();
+        let out = Session::open(&protocol, &ctx)
+            .with_policy(RecoveryPolicy::unbounded())
+            .run(&mut ctx);
         assert!(out.is_complete());
         assert_eq!(out.passes(), 1);
         assert_eq!(out.coverage(), 1.0);
@@ -305,10 +221,11 @@ mod tests {
         let fault = FaultModel::perfect().with_downlink_loss(1.0);
         let mut ctx = ctx_with(50, 3, fault);
         let out = run_recovered(&small_budget_hpp(), &RecoveryPolicy::unbounded(), &mut ctx);
-        let RecoveryOutcome::Degraded {
+        let SessionEnd::Degraded {
             report,
             coverage,
             passes,
+            ..
         } = out
         else {
             panic!("a jammed downlink cannot complete");
@@ -338,7 +255,7 @@ mod tests {
         // beyond the last progress.
         let protocol = HppConfig::default().into_protocol();
         let out = run_recovered(&protocol, &RecoveryPolicy::unbounded(), &mut ctx);
-        let RecoveryOutcome::Degraded {
+        let SessionEnd::Degraded {
             report, coverage, ..
         } = out
         else {
@@ -368,6 +285,24 @@ mod tests {
         assert_eq!(p.backoff_us(3), 4_000);
         assert_eq!(p.backoff_us(5), 16_000);
         assert_eq!(p.backoff_us(60), 16_000, "shift saturates, cap holds");
+    }
+
+    #[test]
+    fn jittered_backoff_keeps_the_draw_and_saturates() {
+        let mut rng = Xoshiro256::seed_from_u64(4);
+        let mut reference = rng.clone();
+        let p = RecoveryPolicy::default();
+        for pass in 1..8 {
+            let base = p.backoff_us(pass);
+            let expected = base + reference.below(base / 2 + 1);
+            assert_eq!(p.jittered_backoff_us(pass, &mut rng), expected);
+        }
+        let hostile = RecoveryPolicy::default().with_backoff(u64::MAX, u64::MAX);
+        assert_eq!(hostile.jittered_backoff_us(1, &mut rng), u64::MAX);
+        let tiny = RecoveryPolicy::default().with_backoff(1, 1);
+        let before = rng.clone().next_u64();
+        assert_eq!(tiny.jittered_backoff_us(1, &mut rng), 1);
+        assert_eq!(rng.next_u64(), before, "a 1 µs base draws no jitter");
     }
 
     #[test]
@@ -406,6 +341,14 @@ mod tests {
         let json = rfid_system::to_json_string(&p);
         let back: RecoveryPolicy = rfid_system::from_json_str(&json).expect("parses");
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn zero_progress_limit_zero_is_a_decode_error() {
+        let json =
+            r#"{"max_passes":0,"base_backoff_us":1,"max_backoff_us":2,"zero_progress_limit":0}"#;
+        let err = rfid_system::from_json_str::<RecoveryPolicy>(json).unwrap_err();
+        assert!(err.0.contains("zero_progress_limit"), "{err}");
     }
 
     #[test]

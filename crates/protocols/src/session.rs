@@ -28,14 +28,17 @@
 //!   stream, same trace, same report. The crash-chaos bench
 //!   (`BENCH_session.json`) enforces this for every protocol.
 //!
-//! [`PollingProtocol::try_run`] is now a thin wrapper over
-//! [`run_session`], and [`run_recovered`](crate::run_recovered) over a
-//! policy-carrying session — the legacy control flow is reproduced
-//! operation-for-operation, so all golden traces are unchanged.
+//! A run has exactly one outcome type, [`SessionEnd`]: complete, stalled
+//! (no policy installed) or degraded, each with its report, pass count
+//! ([`SessionEnd::passes`]) and coverage ([`SessionEnd::coverage`]).
+//! [`PollingProtocol::try_run`] is a bare session, and [`run_recovered`]
+//! a session with a [`RecoveryPolicy`]; both reproduce the pre-session
+//! control flow operation-for-operation, so all golden traces are
+//! unchanged.
 
 use std::path::PathBuf;
 
-use rfid_obs::FlightRecorder;
+use rfid_obs::{FlightRecorder, RunEnding};
 use rfid_system::{Json, JsonError, SimConfig, SimContext, ToJson};
 
 use crate::error::{PollingError, StallCause, StallGuard};
@@ -187,22 +190,53 @@ impl SessionEnd {
     pub fn is_complete(&self) -> bool {
         matches!(self, SessionEnd::Complete { .. })
     }
-}
 
-/// Runs `protocol` on `ctx` through a bare session (no recovery policy,
-/// no deadline) — the engine behind [`PollingProtocol::try_run`].
-pub fn run_session<P: PollingProtocol + ?Sized>(
-    protocol: &P,
-    ctx: &mut SimContext,
-) -> Result<Report, PollingError> {
-    let mut session = Session::open(protocol, ctx);
-    match session.run(ctx) {
-        SessionEnd::Complete { report, .. } => Ok(report),
-        SessionEnd::Stalled(err) => Err(err),
-        SessionEnd::Degraded { .. } => {
-            unreachable!("a bare session has no policy or deadline to degrade through")
+    /// Passes used (1 = no recovery pass was needed). A `Stalled` end
+    /// always used one pass: without a policy the first stall is terminal.
+    pub fn passes(&self) -> u64 {
+        match self {
+            SessionEnd::Complete { passes, .. } | SessionEnd::Degraded { passes, .. } => *passes,
+            SessionEnd::Stalled(_) => 1,
         }
     }
+
+    /// Fraction of the population collected, in `[0, 1]`.
+    pub fn coverage(&self) -> f64 {
+        match self {
+            SessionEnd::Complete { .. } => 1.0,
+            SessionEnd::Stalled(PollingError::Stalled {
+                partial_report,
+                uncollected,
+                ..
+            }) => coverage(partial_report.tags, uncollected.len()),
+            SessionEnd::Degraded { coverage, .. } => *coverage,
+        }
+    }
+}
+
+/// The collected fraction of `tags` with `uncollected` of them unread
+/// (an empty population counts as fully covered).
+fn coverage(tags: usize, uncollected: usize) -> f64 {
+    if tags == 0 {
+        1.0
+    } else {
+        (tags - uncollected) as f64 / tags as f64
+    }
+}
+
+/// Drives `protocol` on `ctx` through a session under `policy`: every
+/// stall becomes a backoff-separated re-polling pass over the uncollected
+/// remainder, until the run completes or degrades.
+///
+/// Pass 1 is the bare protocol run (no extra RNG draws, events or time),
+/// so on a channel that never stalls the result is bit-identical to
+/// [`PollingProtocol::try_run`].
+pub fn run_recovered<P: PollingProtocol + ?Sized>(
+    protocol: &P,
+    policy: &RecoveryPolicy,
+    ctx: &mut SimContext,
+) -> SessionEnd {
+    Session::open(protocol, ctx).with_policy(*policy).run(ctx)
 }
 
 /// A live protocol session: one stepper under the driver.
@@ -389,28 +423,13 @@ impl Session {
     /// captures the still-open span stack first), then close the driver's
     /// `pass` and `session` spans.
     fn finish_end(&mut self, ctx: &mut SimContext, end: SessionEnd) -> SessionEnd {
-        match &end {
-            SessionEnd::Complete { .. } => {}
-            SessionEnd::Stalled(err) => {
-                let report = err.partial_report();
-                let uncollected = match err {
-                    PollingError::Stalled { uncollected, .. } => uncollected.len(),
-                };
-                let coverage = if report.tags == 0 {
-                    1.0
-                } else {
-                    (report.tags - uncollected) as f64 / report.tags as f64
-                };
-                self.dump_postmortem(ctx, "stalled", report, coverage);
-            }
-            SessionEnd::Degraded {
-                report,
-                coverage,
-                cause,
-                ..
-            } => {
-                self.dump_postmortem(ctx, cause.label(), report, *coverage);
-            }
+        let cause = match &end {
+            SessionEnd::Complete { .. } => None,
+            SessionEnd::Stalled(_) => Some("stalled"),
+            SessionEnd::Degraded { cause, .. } => Some(cause.label()),
+        };
+        if let Some(cause) = cause {
+            self.dump_postmortem(ctx, cause, end.report(), end.coverage());
         }
         if self.spans_open {
             ctx.span_exit();
@@ -428,15 +447,14 @@ impl Session {
         let Some((recorder, config)) = &self.flight else {
             return;
         };
-        if let Ok(path) = recorder.dump(
-            self.name,
+        let ending = RunEnding {
+            protocol: self.name,
             cause,
-            config,
-            ctx,
-            report.to_json(),
-            self.passes,
+            report: report.to_json(),
+            passes: self.passes,
             coverage,
-        ) {
+        };
+        if let Ok(path) = recorder.dump(ending, config, ctx) {
             self.last_postmortem = Some(path);
         }
     }
@@ -477,15 +495,9 @@ impl Session {
         let out_of_passes = policy.max_passes != 0 && self.passes >= policy.max_passes;
         if out_of_passes || self.idle_rounds >= idle_cap {
             ctx.note_circuit_opened(self.passes, uncollected.len());
-            let tags = partial_report.tags;
-            let coverage = if tags == 0 {
-                1.0
-            } else {
-                (tags - uncollected.len()) as f64 / tags as f64
-            };
             return Some(SessionEnd::Degraded {
-                report: partial_report,
-                coverage,
+                coverage: coverage(partial_report.tags, uncollected.len()),
+                report: *partial_report,
                 passes: self.passes,
                 cause: if out_of_passes {
                     DegradeCause::OutOfPasses
@@ -496,13 +508,8 @@ impl Session {
         }
         // Exponential backoff with deterministic jitter, charged on the
         // C1G2 clock so recovery shows up in execution time.
-        let base = policy.backoff_us(self.passes);
-        let jitter = if base > 1 {
-            ctx.rng.below(base / 2 + 1)
-        } else {
-            0
-        };
-        ctx.charge_recovery_backoff(self.passes, base + jitter);
+        let backoff = policy.jittered_backoff_us(self.passes, &mut ctx.rng);
+        ctx.charge_recovery_backoff(self.passes, backoff);
         // Defensive: a protocol that stalls mid-circle may leave tags
         // deselected; reselection is idempotent and RNG-free.
         ctx.population.reselect_all();
@@ -526,16 +533,9 @@ impl Session {
     /// no circuit event — the breaker did not open, time simply ran out).
     fn degraded_now(&self, ctx: &SimContext, cause: DegradeCause) -> SessionEnd {
         let report = Report::from_context(self.name, ctx);
-        let uncollected = ctx.uncollected_handles().len();
-        let tags = report.tags;
-        let coverage = if tags == 0 {
-            1.0
-        } else {
-            (tags - uncollected) as f64 / tags as f64
-        };
         SessionEnd::Degraded {
+            coverage: coverage(report.tags, ctx.uncollected_handles().len()),
             report,
-            coverage,
             passes: self.passes,
             cause,
         }
@@ -617,17 +617,6 @@ impl Session {
         };
         Ok((ctx, session))
     }
-}
-
-/// Drives `protocol` under `policy` through a session — the engine behind
-/// [`run_recovered`](crate::run_recovered).
-pub fn run_recovered_session<P: PollingProtocol + ?Sized>(
-    protocol: &P,
-    policy: &RecoveryPolicy,
-    ctx: &mut SimContext,
-) -> SessionEnd {
-    let mut session = Session::open(protocol, ctx).with_policy(*policy);
-    session.run(ctx)
 }
 
 #[cfg(test)]

@@ -864,7 +864,7 @@ impl SimContext {
     /// in execution-time results.
     pub fn charge_recovery_backoff(&mut self, pass: u64, us: u64) {
         self.advance(TimeCategory::WastedSlot, Micros::from_us(us as f64));
-        self.counters.recovery_backoff_us += us;
+        self.counters.recovery_backoff_us = self.counters.recovery_backoff_us.saturating_add(us);
         self.trace(|| Event::BackoffWaited { pass, us });
     }
 

@@ -31,12 +31,12 @@ fn main() {
     let lb = run_polling(&LowerBound, &scenario);
 
     println!("{:<12} {:>12} {:>18}", "protocol", "time", "vs lower bound");
-    for r in [&tpp.report, &mic.report, &lb.report] {
+    for r in [tpp.report(), mic.report(), lb.report()] {
         println!(
             "{:<12} {:>12} {:>17.2}×",
             r.protocol,
             r.total_time.to_string(),
-            r.time_ratio(&lb.report)
+            r.time_ratio(lb.report())
         );
     }
 
@@ -74,10 +74,10 @@ fn main() {
         );
     }
 
-    assert!(tpp.report.total_time < mic.report.total_time);
+    assert!(tpp.report().total_time < mic.report().total_time);
     println!(
         "\nTPP collected all {} readings {:.1} % faster than MIC.",
         n,
-        (1.0 - tpp.report.total_time / mic.report.total_time) * 100.0
+        (1.0 - tpp.report().total_time / mic.report().total_time) * 100.0
     );
 }

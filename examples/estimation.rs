@@ -51,9 +51,8 @@ fn main() {
         est.estimate
     );
     let fsa = FsaConfig::default().into_protocol();
-    let report = fast_rfid_polling::apps::info_collect::run_polling_in(&fsa, &mut ctx)
-        .expect("completes")
-        .report;
+    let report = fsa.try_run(&mut ctx).expect("completes");
+    ctx.assert_complete();
     println!(
         "  estimation {} + identification {} = {} total",
         est.time,

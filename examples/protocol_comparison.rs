@@ -68,7 +68,7 @@ fn main() {
                 let scenario = Scenario::uniform(n, info_bits).with_seed(1);
                 let protocol = make();
                 let outcome = run_polling(protocol.as_ref(), &scenario);
-                print!(" {:>11.3}s", outcome.report.total_time.as_secs());
+                print!(" {:>11.3}s", outcome.report().total_time.as_secs());
             }
             println!();
         }

@@ -34,7 +34,7 @@ fn main() {
     for protocol in &protocols {
         let outcome =
             fast_rfid_polling::apps::info_collect::run_polling(protocol.as_ref(), &scenario);
-        let r = &outcome.report;
+        let r = outcome.report();
         println!(
             "{:<12} {:>14.2} {:>16.2} {:>12} {:>8}",
             r.protocol,

@@ -8,9 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo fmt --check
-# MSRV gate: no code may call an API newer than the declared
-# `rust-version`. Only clippy's incompatible_msrv lint is denied here.
-cargo clippy --offline --workspace --all-targets -- -A clippy::all -D clippy::incompatible_msrv
+# Lint gate: every clippy warning is an error. This includes the MSRV
+# check (incompatible_msrv): no code may call an API newer than the
+# declared `rust-version`.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 # Fast single-seed slice of the chaos fault-matrix gate (scripts/chaos.sh
 # runs the full multi-seed sweep).
 cargo run --release --offline --example chaos_sweep -- --seeds 1

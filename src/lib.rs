@@ -38,9 +38,9 @@
 //! // 500 tags with uniformly random EPC-96 IDs, each holding 1 bit of info.
 //! let scenario = Scenario::uniform(500, 1).with_seed(42);
 //! let outcome = run_polling(&TppConfig::default().into_protocol(), &scenario);
-//! assert_eq!(outcome.report.counters.polls, 500);
+//! assert_eq!(outcome.report().counters.polls, 500);
 //! // TPP's average polling vector is ~3 bits, far below the 96-bit ID.
-//! assert!(outcome.report.mean_vector_bits() < 6.0);
+//! assert!(outcome.report().mean_vector_bits() < 6.0);
 //! ```
 
 pub use rfid_analysis as analysis;
@@ -60,10 +60,7 @@ pub use rfid_workloads as workloads;
 
 /// One-stop imports for the common use cases.
 pub mod prelude {
-    pub use rfid_apps::info_collect::{
-        run_polling, run_polling_recovered, run_polling_recovered_in, run_polling_with_deadline,
-        try_run_polling,
-    };
+    pub use rfid_apps::info_collect::{run_polling, Collection};
     pub use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, MicConfig};
     pub use rfid_c1g2::{Clock, LinkParams, Micros, TimeCategory};
     pub use rfid_obs::{
@@ -71,9 +68,8 @@ pub mod prelude {
         FlightRecorder, MetricsRegistry, Span,
     };
     pub use rfid_protocols::{
-        run_recovered, run_recovered_session, run_session, DegradeCause, EhppConfig, HppConfig,
-        PollingError, PollingProtocol, RecoveryOutcome, RecoveryPolicy, RecoverySession, Report,
-        Session, SessionEnd, StallCause, TppConfig,
+        run_recovered, DegradeCause, EhppConfig, HppConfig, PollingError, PollingProtocol,
+        RecoveryPolicy, Report, Session, SessionEnd, StallCause, TppConfig,
     };
     pub use rfid_system::{
         BitVec, FaultModel, FaultPlan, FaultPlanError, GilbertElliott, Json, JsonError, SimConfig,

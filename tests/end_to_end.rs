@@ -1,7 +1,6 @@
 //! Full-lifecycle integration: a reader meets an unknown floor, identifies
 //! it, polls it, monitors it through churn — every crate in one flow.
 
-use fast_rfid_polling::apps::info_collect::run_polling_in;
 use fast_rfid_polling::apps::monitor::{InventoryMonitor, MonitorConfig};
 use fast_rfid_polling::estimate::EstimationProtocol;
 use fast_rfid_polling::hash::{split_seed, Xoshiro256};
@@ -40,12 +39,16 @@ fn estimate_identify_poll_monitor_lifecycle() {
         scenario.build_population(),
         &SimConfig::paper(split_seed(555, 2)),
     );
-    let poll = run_polling_in(&TppConfig::default().into_protocol(), &mut ctx).expect("completes");
+    let poll = TppConfig::default()
+        .into_protocol()
+        .try_run(&mut ctx)
+        .expect("completes");
+    ctx.assert_complete();
     assert!(
-        ident.total_time > poll.report.total_time * 5.0,
+        ident.total_time > poll.total_time * 5.0,
         "identification {} vs polling {}",
         ident.total_time,
-        poll.report.total_time
+        poll.total_time
     );
 
     // 4. Monitor through three epochs of churn; the list must track truth.
@@ -94,10 +97,12 @@ fn the_paper_workflow_pays_off_within_two_sweeps() {
             scenario.build_population(),
             &SimConfig::paper(split_seed(777, 1)),
         );
-        run_polling_in(&TppConfig::default().into_protocol(), &mut ctx)
-            .expect("completes")
-            .report
-            .total_time
+        let poll = TppConfig::default()
+            .into_protocol()
+            .try_run(&mut ctx)
+            .expect("completes");
+        ctx.assert_complete();
+        poll.total_time
     };
     assert!(identify_once + poll_once < identify_once * 2.0);
     assert!(poll_once * 5.0 < identify_once);

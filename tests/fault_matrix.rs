@@ -4,8 +4,8 @@
 //! panics and never double-collects (a double `mark_read` would panic
 //! inside the population, so a green run proves exactly-once).
 
-use fast_rfid_polling::apps::info_collect::run_polling_in;
 use fast_rfid_polling::apps::unknown::run_hpp_with_aliens;
+use fast_rfid_polling::apps::Collection;
 use fast_rfid_polling::baselines::MicConfig;
 use fast_rfid_polling::prelude::*;
 use fast_rfid_polling::system::{KillRule, SimConfig, SimContext};
@@ -94,8 +94,13 @@ fn moderate_faults_collect_every_payload_intact() {
         let reference = scenario.build_population();
         let cfg = SimConfig::paper(scenario.protocol_seed()).with_fault(fault.clone());
         let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-        let outcome = run_polling_in(protocol.as_ref(), &mut ctx)
-            .unwrap_or_else(|e| panic!("{}: {e}", protocol.name()));
+        let outcome = Collection::run(Session::open(protocol.as_ref(), &ctx), &mut ctx);
+        assert!(
+            outcome.end.is_complete(),
+            "{}: {:?}",
+            protocol.name(),
+            outcome.end
+        );
         for (_, tag) in reference.iter() {
             assert_eq!(
                 outcome.payload_of(tag.id),

@@ -46,7 +46,7 @@ fn every_protocol_completes_on_every_distribution() {
         for protocol in all_protocols() {
             let outcome = run_polling(protocol.as_ref(), &scenario);
             assert_eq!(
-                outcome.report.counters.polls,
+                outcome.report().counters.polls,
                 300,
                 "{} under {:?}",
                 protocol.name(),
@@ -81,13 +81,13 @@ fn polling_protocols_never_waste_slots() {
     for protocol in polling {
         let outcome = run_polling(protocol.as_ref(), &scenario);
         assert_eq!(
-            outcome.report.counters.empty_slots,
+            outcome.report().counters.empty_slots,
             0,
             "{}",
             protocol.name()
         );
         assert_eq!(
-            outcome.report.counters.collision_slots,
+            outcome.report().counters.collision_slots,
             0,
             "{}",
             protocol.name()
@@ -95,12 +95,13 @@ fn polling_protocols_never_waste_slots() {
     }
     // And the ALOHA baselines do waste slots — the contrast the paper draws.
     let fsa = run_polling(&FsaConfig::default().into_protocol(), &scenario);
-    assert!(fsa.report.counters.empty_slots > 0);
-    assert!(fsa.report.counters.collision_slots > 0);
+    assert!(fsa.report().counters.empty_slots > 0);
+    assert!(fsa.report().counters.collision_slots > 0);
     let mic = run_polling(&MicConfig::default().into_protocol(), &scenario);
-    assert!(mic.report.counters.empty_slots > 0);
+    assert!(mic.report().counters.empty_slots > 0);
     assert_eq!(
-        mic.report.counters.collision_slots, 0,
+        mic.report().counters.collision_slots,
+        0,
         "MIC's cascade is collision-free"
     );
 }
@@ -112,7 +113,7 @@ fn tiny_populations_are_handled() {
         for protocol in all_protocols() {
             let outcome = run_polling(protocol.as_ref(), &scenario);
             assert_eq!(
-                outcome.report.counters.polls,
+                outcome.report().counters.polls,
                 n as u64,
                 "{} at n = {n}",
                 protocol.name()
@@ -128,6 +129,6 @@ fn payload_widths_sweep() {
             .with_seed(bits as u64)
             .with_payload(PayloadKind::Random);
         let outcome = run_polling(&TppConfig::default().into_protocol(), &scenario);
-        assert_eq!(outcome.report.counters.tag_bits, 100 * bits as u64);
+        assert_eq!(outcome.report().counters.tag_bits, 100 * bits as u64);
     }
 }

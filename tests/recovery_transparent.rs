@@ -92,20 +92,3 @@ fn recovery_is_bit_identical_to_bare_try_run_on_a_perfect_channel() {
         );
     }
 }
-
-#[test]
-fn session_wrapper_matches_the_free_function() {
-    let scenario = Scenario::uniform(80, 1).with_seed(5);
-    let mut a = traced_context(&scenario);
-    let mut b = traced_context(&scenario);
-    let protocol = TppConfig::default().into_protocol();
-    let policy = RecoveryPolicy::default();
-
-    let via_fn = run_recovered(&protocol, &policy, &mut a);
-    let via_session = RecoverySession::new(protocol, policy).run(&mut b);
-    assert_eq!(a.counters, b.counters);
-    assert_eq!(
-        via_fn.report().to_json().to_string(),
-        via_session.report().to_json().to_string()
-    );
-}

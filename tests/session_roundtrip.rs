@@ -157,7 +157,7 @@ fn mid_recovery_kill_restore_is_bit_identical() {
     let policy = RecoveryPolicy::unbounded();
 
     let mut ctx = SimContext::new(scenario.build_population(), &cfg);
-    let golden = run_recovered_session(&protocol, &policy, &mut ctx);
+    let golden = run_recovered(&protocol, &policy, &mut ctx);
     let SessionEnd::Complete {
         report: golden_report,
         passes: golden_passes,
