@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use rfid_system::{BitVec, TagId};
+use rfid_system::TagPopulation;
 
 /// Summary of one category's payload values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,19 +23,19 @@ pub struct CategoryStats {
     pub mean: f64,
 }
 
-/// Groups collected `(id, payload)` pairs by EPC category and summarizes
+/// Groups collected tags by EPC category and summarizes
 /// the payload values (payloads decoded as big-endian integers, which
 /// matches every [`rfid_workloads::PayloadKind`] encoding).
 ///
 /// # Panics
 /// Panics if a payload exceeds 64 bits (not decodable as one value).
-pub fn aggregate_by_category(collected: &[(TagId, BitVec)]) -> BTreeMap<u64, CategoryStats> {
+pub fn aggregate_by_category(collected: &TagPopulation) -> BTreeMap<u64, CategoryStats> {
     let mut groups: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for (id, payload) in collected {
+    for (_, tag) in collected.iter() {
         groups
-            .entry(id.category())
+            .entry(tag.id.category())
             .or_default()
-            .push(payload.to_value());
+            .push(tag.info.to_value());
     }
     groups
         .into_iter()
@@ -123,20 +123,20 @@ mod tests {
 
     #[test]
     fn empty_collection_is_empty_stats() {
-        assert!(aggregate_by_category(&[]).is_empty());
+        assert!(aggregate_by_category(&TagPopulation::new([])).is_empty());
     }
 
     #[test]
     fn grouping_uses_the_category_prefix() {
-        use rfid_system::TagId;
+        use rfid_system::{BitVec, TagId};
         let a = TagId::from_fields(0x30, 7, 9, 1);
         let b = TagId::from_fields(0x30, 7, 9, 2);
         let c = TagId::from_fields(0x30, 8, 9, 1);
-        let collected = vec![
+        let collected = TagPopulation::new([
             (a, BitVec::from_value(10, 8)),
             (b, BitVec::from_value(20, 8)),
             (c, BitVec::from_value(30, 8)),
-        ];
+        ]);
         let stats = aggregate_by_category(&collected);
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[&a.category()].count, 2);

@@ -5,12 +5,13 @@
 //! [`Session`] — bare, recovering, deadline-budgeted, or any mix — to its
 //! end, verifies the polling invariant when the run completes (every tag
 //! interrogated exactly once, nothing missed), and returns the session's
-//! [`SessionEnd`] together with the `(id, payload)` pairs actually read.
+//! [`SessionEnd`] together with the IDs and payloads actually read, copied
+//! out column by column.
 //! [`run_polling`] is the clean-channel shorthand: it builds the
 //! population from a [`Scenario`] and insists that the run completes.
 
 use rfid_protocols::{PollingProtocol, Report, Session, SessionEnd};
-use rfid_system::{BitVec, SimConfig, SimContext, TagId, TagState};
+use rfid_system::{BitSlice, SimConfig, SimContext, TagId, TagPopulation};
 use rfid_workloads::Scenario;
 
 /// One collection run: how the session ended, plus the payloads it read.
@@ -19,9 +20,10 @@ pub struct Collection {
     /// How the session ended, with its (possibly partial) report, pass
     /// count and coverage.
     pub end: SessionEnd,
-    /// `(tag id, payload)` of every tag actually read, in tag order: the
-    /// whole population for a complete run, the covered subset otherwise.
-    pub collected: Vec<(TagId, BitVec)>,
+    /// The ID and payload of every tag actually read, in handle order, as
+    /// a population of its own: the whole population for a complete run,
+    /// the covered subset otherwise.
+    pub collected: TagPopulation,
 }
 
 impl Collection {
@@ -41,13 +43,7 @@ impl Collection {
         }
         // Only asleep tags were read. Active and EHPP-deselected tags were
         // not: they are exactly `SimContext::uncollected_handles`.
-        let mut collected = Vec::with_capacity(ctx.population.asleep_count());
-        collected.extend(
-            ctx.population
-                .iter()
-                .filter(|&(h, _)| ctx.population.state(h) == TagState::Asleep)
-                .map(|(_, tag)| (tag.id, tag.info.clone())),
-        );
+        let collected = ctx.population.subset(&ctx.population.asleep_words());
         Collection { end, collected }
     }
 
@@ -57,11 +53,11 @@ impl Collection {
     }
 
     /// Looks up the collected payload of one tag.
-    pub fn payload_of(&self, id: TagId) -> Option<&BitVec> {
+    pub fn payload_of(&self, id: TagId) -> Option<BitSlice<'_>> {
         self.collected
             .iter()
-            .find(|(tid, _)| *tid == id)
-            .map(|(_, p)| p)
+            .find(|(_, tag)| tag.id == id)
+            .map(|(_, tag)| tag.info)
     }
 }
 
@@ -109,7 +105,7 @@ mod tests {
             for (_, tag) in reference.iter() {
                 assert_eq!(
                     outcome.payload_of(tag.id),
-                    Some(&tag.info),
+                    Some(tag.info),
                     "{} corrupted payload of {}",
                     p.name(),
                     tag.id

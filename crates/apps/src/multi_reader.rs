@@ -13,7 +13,7 @@
 use rfid_c1g2::Micros;
 use rfid_hash::{split_seed, Xoshiro256};
 use rfid_protocols::{PollingProtocol, Report};
-use rfid_system::{SimConfig, SimContext, TagPopulation};
+use rfid_system::{SimConfig, SimContext};
 use rfid_workloads::Scenario;
 
 /// One reader and its interrogation zone (a disk).
@@ -161,10 +161,11 @@ pub fn run_deployment(
     let mut per_reader = Vec::with_capacity(plan.readers.len());
     let mut stalled_readers = Vec::new();
     for (r, claim) in claims.iter().enumerate() {
-        let sub = TagPopulation::new(claim.iter().map(|&t| {
-            let tag = population.get(t);
-            (tag.id, tag.info.clone())
-        }));
+        let mut keep = vec![0u64; population.len().div_ceil(64)];
+        for &t in claim {
+            keep[t / 64] |= 1 << (t % 64);
+        }
+        let sub = population.subset(&keep);
         let mut ctx = SimContext::new(
             sub,
             &SimConfig::paper(split_seed(scenario.protocol_seed(), r as u64)),

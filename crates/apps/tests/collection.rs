@@ -57,9 +57,9 @@ fn collect_and_check(
         "{label}: passes"
     );
     let reference = scenario.build_population();
-    for (id, payload) in &c.collected {
-        let (_, expected) = reference.iter().find(|(_, t)| t.id == *id).unwrap();
-        assert_eq!(payload, &expected.info, "{label}: payload of {id}");
+    for (_, tag) in c.collected.iter() {
+        let (_, expected) = reference.iter().find(|(_, t)| t.id == tag.id).unwrap();
+        assert_eq!(tag.info, expected.info, "{label}: payload of {}", tag.id);
     }
     for h in ctx.uncollected_handles() {
         let id = ctx.population.get(h).id;

@@ -248,29 +248,329 @@ impl BitVec {
         self.blocks.iter().map(|b| b.count_ones() as u64).sum()
     }
 
-    /// Appends the bits to a packed hex field, a block at a time.
-    pub(crate) fn pack_into(&self, out: &mut HexWriter) {
-        for (k, &block) in self.blocks.iter().enumerate() {
-            let width = (self.len - 64 * k).min(64) as u32;
-            out.push(block >> (64 - width), width);
+    /// The whole vector as a borrowed [`BitSlice`].
+    pub fn as_slice(&self) -> BitSlice<'_> {
+        BitSlice {
+            words: &self.blocks,
+            start: 0,
+            len: self.len,
+        }
+    }
+}
+
+/// The `width` (1–64) bits of the MSB-first word buffer `words` that start
+/// at bit `at`, as a right-aligned integer.
+#[inline]
+fn read_bits(words: &[u64], at: usize, width: usize) -> u64 {
+    debug_assert!((1..=64).contains(&width));
+    let (w, off) = (at / 64, at % 64);
+    let mut value = words[w] << off;
+    if off + width > 64 {
+        value |= words[w + 1] >> (64 - off);
+    }
+    value >> (64 - width)
+}
+
+/// A borrowed bit string inside a word buffer laid out like a [`BitVec`]'s
+/// blocks. A population hands out each tag's payload as one, so it keeps
+/// every payload in a single [`BitColumn`] instead of a `BitVec` per tag.
+#[derive(Clone, Copy)]
+pub struct BitSlice<'a> {
+    words: &'a [u64],
+    start: usize,
+    len: usize,
+}
+
+impl<'a> BitSlice<'a> {
+    /// Number of bits.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if the slice has no bits.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bit at position `i` (0 = first transmitted).
+    ///
+    /// # Panics
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        assert!(
+            i < self.len,
+            "bit index {i} out of range (len {})",
+            self.len
+        );
+        read_bits(self.words, self.start + i, 1) == 1
+    }
+
+    /// Iterates the bits in transmission order.
+    pub fn iter(&self) -> impl Iterator<Item = bool> + 'a {
+        let s = *self;
+        (0..s.len).map(move |i| s.get(i))
+    }
+
+    /// The bits as `(value, width)` chunks of at most 64, in order, each
+    /// value right-aligned.
+    fn chunks(&self) -> impl Iterator<Item = (u64, usize)> + 'a {
+        let s = *self;
+        (0..s.len.div_ceil(64)).map(move |k| {
+            let width = (s.len - 64 * k).min(64);
+            (read_bits(s.words, s.start + 64 * k, width), width)
+        })
+    }
+
+    /// Interprets the slice as a big-endian integer.
+    ///
+    /// # Panics
+    /// Panics if the slice is longer than 64 bits.
+    pub fn to_value(&self) -> u64 {
+        assert!(self.len <= 64, "vector of {} bits exceeds u64", self.len);
+        self.chunks().next().map_or(0, |(value, _)| value)
+    }
+
+    /// An owned copy.
+    pub fn to_bitvec(&self) -> BitVec {
+        BitVec {
+            blocks: self.chunks().map(|(v, w)| v << (64 - w)).collect(),
+            len: self.len,
+        }
+    }
+}
+
+impl<'a> From<&'a BitVec> for BitSlice<'a> {
+    fn from(v: &'a BitVec) -> Self {
+        v.as_slice()
+    }
+}
+
+impl PartialEq for BitSlice<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.chunks().eq(other.chunks())
+    }
+}
+
+impl Eq for BitSlice<'_> {}
+
+impl PartialEq<BitVec> for BitSlice<'_> {
+    fn eq(&self, other: &BitVec) -> bool {
+        *self == other.as_slice()
+    }
+}
+
+impl PartialEq<BitSlice<'_>> for BitVec {
+    fn eq(&self, other: &BitSlice<'_>) -> bool {
+        self.as_slice() == *other
+    }
+}
+
+impl fmt::Display for BitSlice<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for b in self.iter() {
+            f.write_str(if b { "1" } else { "0" })?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for BitSlice<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BitSlice({self})")
+    }
+}
+
+/// Bit strings packed back to back in one word buffer, laid out like a
+/// [`BitVec`]'s blocks: a population's payload column, one string per tag,
+/// with no heap allocation per string. While every string has the same
+/// length, string `i` starts at bit `i * len`; only a column whose lengths
+/// vary keeps an offset per string.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BitColumn {
+    /// Bits past `bits` are zero, and no word lies wholly past them.
+    words: Vec<u64>,
+    bits: usize,
+    lens: Lens,
+}
+
+/// Where each string of a [`BitColumn`] starts.
+#[derive(Debug, Clone, PartialEq)]
+enum Lens {
+    /// `count` strings of `len` bits each.
+    Fixed { len: usize, count: usize },
+    /// String `i` spans bits `starts[i]..starts[i + 1]`.
+    Varying(Vec<usize>),
+}
+
+impl Default for BitColumn {
+    fn default() -> Self {
+        BitColumn::with_capacity(0)
+    }
+}
+
+impl BitColumn {
+    /// An empty column with room for `bits` bits.
+    pub fn with_capacity(bits: usize) -> Self {
+        BitColumn {
+            words: Vec::with_capacity(bits.div_ceil(64)),
+            bits: 0,
+            lens: Lens::Fixed { len: 0, count: 0 },
         }
     }
 
-    /// Reads the next `len` bits of a packed hex field as a vector.
-    pub(crate) fn unpack_from(bits: &mut HexReader<'_>, len: usize) -> BitVec {
-        let blocks = (0..len.div_ceil(64))
+    /// Number of finished strings.
+    pub fn len(&self) -> usize {
+        match &self.lens {
+            Lens::Fixed { count, .. } => *count,
+            Lens::Varying(starts) => starts.len() - 1,
+        }
+    }
+
+    /// `true` if no string is finished.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total number of bits.
+    pub(crate) fn bits(&self) -> usize {
+        self.bits
+    }
+
+    /// String `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= len`.
+    pub fn get(&self, i: usize) -> BitSlice<'_> {
+        let (start, len) = match &self.lens {
+            Lens::Fixed { len, count } => {
+                assert!(i < *count, "string {i} out of range for {count} strings");
+                (i * len, *len)
+            }
+            Lens::Varying(starts) => (starts[i], starts[i + 1] - starts[i]),
+        };
+        BitSlice {
+            words: &self.words,
+            start,
+            len,
+        }
+    }
+
+    /// Appends the low `width` bits of `value` (at most 64), most
+    /// significant first, to the string being written.
+    #[inline]
+    pub fn push_bits(&mut self, value: u64, width: usize) {
+        debug_assert!(width <= 64);
+        if width == 0 {
+            return;
+        }
+        let top = value << (64 - width);
+        let off = self.bits % 64;
+        if off == 0 {
+            self.words.push(top);
+        } else {
+            *self.words.last_mut().expect("a partial word") |= top >> off;
+            if off + width > 64 {
+                self.words.push(top << (64 - off));
+            }
+        }
+        self.bits += width;
+    }
+
+    /// Finishes the string being written: every bit pushed since the last
+    /// finished string.
+    pub fn end_string(&mut self) {
+        let len = match &self.lens {
+            Lens::Fixed { len, count } => self.bits - len * count,
+            Lens::Varying(starts) => self.bits - starts[starts.len() - 1],
+        };
+        match &mut self.lens {
+            Lens::Fixed { len: l, count } if *count == 0 || *l == len => {
+                *l = len;
+                *count += 1;
+            }
+            Lens::Fixed { len: l, count } => {
+                let mut starts: Vec<usize> = (0..=*count).map(|i| i * *l).collect();
+                starts.push(self.bits);
+                self.lens = Lens::Varying(starts);
+            }
+            Lens::Varying(starts) => starts.push(self.bits),
+        }
+    }
+
+    /// Appends `s` as a finished string.
+    pub fn push(&mut self, s: BitSlice<'_>) {
+        for (value, width) in s.chunks() {
+            self.push_bits(value, width);
+        }
+        self.end_string();
+    }
+
+    /// The string lengths as `(len, count)` runs, adjacent equal lengths
+    /// merged.
+    pub(crate) fn runs(&self) -> Vec<(usize, usize)> {
+        match &self.lens {
+            Lens::Fixed { count: 0, .. } => Vec::new(),
+            Lens::Fixed { len, count } => vec![(*len, *count)],
+            Lens::Varying(starts) => {
+                let mut runs: Vec<(usize, usize)> = Vec::new();
+                for w in starts.windows(2) {
+                    match runs.last_mut() {
+                        Some((len, count)) if *len == w[1] - w[0] => *count += 1,
+                        _ => runs.push((w[1] - w[0], 1)),
+                    }
+                }
+                runs
+            }
+        }
+    }
+
+    /// Appends every bit of the column to a packed hex field.
+    pub(crate) fn pack_into(&self, out: &mut HexWriter) {
+        for (k, &word) in self.words.iter().enumerate() {
+            let width = (self.bits - 64 * k).min(64) as u32;
+            out.push(word >> (64 - width), width);
+        }
+    }
+
+    /// Reads a column of strings with the lengths `runs` from a packed hex
+    /// field of exactly their total, `bits`.
+    pub(crate) fn unpack_from(
+        hex: &mut HexReader<'_>,
+        runs: &[(usize, usize)],
+        bits: usize,
+    ) -> BitColumn {
+        let words = (0..bits.div_ceil(64))
             .map(|k| {
-                let width = (len - 64 * k).min(64) as u32;
-                bits.read(width) << (64 - width)
+                let width = (bits - 64 * k).min(64) as u32;
+                hex.read(width) << (64 - width)
             })
             .collect();
-        BitVec { blocks, len }
+        let lens = match runs {
+            [] => Lens::Fixed { len: 0, count: 0 },
+            [(len, _), ..] if runs.iter().all(|(l, _)| l == len) => Lens::Fixed {
+                len: *len,
+                count: runs.iter().map(|(_, c)| c).sum(),
+            },
+            _ => {
+                let mut starts = vec![0];
+                for &(len, count) in runs {
+                    for _ in 0..count {
+                        starts.push(starts[starts.len() - 1] + len);
+                    }
+                }
+                Lens::Varying(starts)
+            }
+        };
+        BitColumn { words, bits, lens }
     }
 }
 
 impl PartialEq for BitVec {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        self.as_slice() == other.as_slice()
     }
 }
 
@@ -515,6 +815,59 @@ mod tests {
             let va = BitVec::from_bits(a.iter().copied());
             let vb = BitVec::from_bits(b.iter().copied());
             prop_assert_eq!(va.common_prefix_len(&vb), vb.common_prefix_len(&va));
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn column_strings_pack_back_to_back() {
+        let mut col = BitColumn::default();
+        col.push(BitVec::from_str_bits("101").as_slice());
+        col.push(BitVec::from_str_bits("011").as_slice());
+        assert_eq!(col.runs(), vec![(3, 2)]);
+        col.push_bits(u64::MAX, 64);
+        col.push_bits(0b10, 2);
+        col.end_string();
+        col.push(BitVec::new().as_slice());
+        assert_eq!(col.len(), 4);
+        assert_eq!(col.bits(), 72);
+        assert_eq!(col.runs(), vec![(3, 2), (66, 1), (0, 1)]);
+        assert_eq!(col.get(1).to_string(), "011");
+        assert_eq!(
+            col.get(2),
+            BitVec::from_str_bits(&format!("{}10", "1".repeat(64)))
+        );
+        assert!(col.get(3).is_empty());
+        assert_eq!(col.get(0).to_value(), 0b101);
+    }
+
+    #[test]
+    fn prop_column_round_trips_through_hex() {
+        check("bit column keeps every string and round-trips", 256, |g| {
+            let strings = g.vec(0, 12, |g| {
+                let len = if g.bool() { 7 } else { g.len_in(0, 140) };
+                BitVec::from_bits(g.vec_bool(len, len + 1))
+            });
+            let mut col = BitColumn::with_capacity(0);
+            for s in &strings {
+                col.push(s.as_slice());
+            }
+            prop_assert_eq!(col.len(), strings.len());
+            for (i, s) in strings.iter().enumerate() {
+                prop_assert_eq!(col.get(i).to_bitvec(), s.clone());
+                prop_assert_eq!(
+                    col.get(i).iter().collect::<Vec<_>>(),
+                    s.iter().collect::<Vec<_>>()
+                );
+            }
+            let total = strings.iter().map(BitVec::len).sum();
+            prop_assert_eq!(col.bits(), total);
+            let mut hex = HexWriter::with_bits(total);
+            col.pack_into(&mut hex);
+            let hex = hex.finish();
+            let mut reader = HexReader::new(&hex, total, "info").unwrap();
+            let back = BitColumn::unpack_from(&mut reader, &col.runs(), total);
+            prop_assert_eq!(back, col);
             Ok(())
         });
     }

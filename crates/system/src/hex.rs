@@ -33,6 +33,13 @@ impl HexWriter {
     /// Appends the low `width` bits of `value`, most significant first.
     pub(crate) fn push(&mut self, value: u64, width: u32) {
         debug_assert!(width <= 64);
+        if self.bits == 0 && width % 4 == 0 {
+            // Digit-aligned: whole digits, no carry between them.
+            for k in (0..width / 4).rev() {
+                self.out.push(DIGITS[(value >> (4 * k) & 0xf) as usize]);
+            }
+            return;
+        }
         let mut left = width;
         while left > 0 {
             let take = left.min(4 - self.bits);
@@ -112,6 +119,17 @@ impl<'a> HexReader<'a> {
     /// [`HexReader::new`] — a caller bug, not an input condition.
     pub(crate) fn read(&mut self, width: u32) -> u64 {
         debug_assert!(width <= 64);
+        if self.bits == 0 && width % 4 == 0 {
+            // Digit-aligned: whole digits, no carry between them.
+            let end = self.pos + (width / 4) as usize;
+            let digits = &self.digits[self.pos..end];
+            self.pos = end;
+            // `new` admitted only `0-9a-f`, whose value is the low nibble,
+            // plus 9 for the letters (bit 6 set).
+            return digits
+                .iter()
+                .fold(0, |acc, &d| acc << 4 | u64::from((d & 0xf) + 9 * (d >> 6)));
+        }
         let mut value = 0u64;
         let mut left = width;
         while left > 0 {
@@ -198,5 +216,57 @@ mod tests {
         }
         // Bit 0 of the set is the first bit of the string.
         assert_eq!(encode_bitset(&[0b1], 5), "80");
+    }
+
+    #[test]
+    fn prop_mixed_width_fields_round_trip() {
+        use rfid_hash::prop::check;
+        use rfid_hash::prop_assert_eq;
+        check("hex fields of any width round-trip", 256, |g| {
+            // Widths that keep and that break digit alignment, mixed.
+            let fields = g.vec(0, 24, |g| {
+                let width = if g.bool() {
+                    4 * g.u64_below(17)
+                } else {
+                    g.u64_below(65)
+                } as u32;
+                let value = if width == 64 {
+                    g.u64()
+                } else {
+                    g.u64() & ((1u64 << width) - 1)
+                };
+                (value, width)
+            });
+            let total = fields.iter().map(|&(_, w)| w as usize).sum();
+            let mut w = HexWriter::with_bits(total);
+            let mut bits = String::new();
+            for &(value, width) in &fields {
+                w.push(value, width);
+                for i in (0..width).rev() {
+                    bits.push(if value >> i & 1 == 1 { '1' } else { '0' });
+                }
+            }
+            let s = w.finish();
+            while bits.len() % 4 != 0 {
+                bits.push('0');
+            }
+            let expected: String = bits
+                .as_bytes()
+                .chunks(4)
+                .map(|d| {
+                    char::from(
+                        DIGITS[d
+                            .iter()
+                            .fold(0, |acc, &b| acc << 1 | usize::from(b == b'1'))],
+                    )
+                })
+                .collect();
+            prop_assert_eq!(&s, &expected);
+            let mut r = HexReader::new(&s, total, "f").unwrap();
+            for &(value, width) in &fields {
+                prop_assert_eq!(r.read(width), value);
+            }
+            Ok(())
+        });
     }
 }

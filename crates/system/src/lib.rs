@@ -8,8 +8,10 @@
 //! * [`TagId`] — structured 96-bit EPC identifiers,
 //! * [`BitVec`] — the compact bit vector used for polling vectors, indicator
 //!   vectors, tag payloads and the TPP tag-side array `A`,
-//! * [`Tag`] / [`TagPopulation`] — a tag's ID and payload, and the
-//!   population that owns every tag's state (active/asleep/deselected),
+//! * [`TagPopulation`] — every tag's ID, payload and state
+//!   (active/asleep/deselected) as columns, with [`Tag`] a borrowed view
+//!   of one tag's ID and payload ([`BitSlice`] into the [`BitColumn`] of
+//!   payloads),
 //! * [`Channel`] / [`SlotOutcome`] — slot resolution (empty / singleton /
 //!   collision) with optional reply-loss injection for robustness studies,
 //! * [`RoundIndex`] — the reusable per-round bucket sort of hashed tag
@@ -44,7 +46,7 @@ pub mod round_index;
 pub mod span;
 pub mod tag;
 
-pub use bitvec::BitVec;
+pub use bitvec::{BitColumn, BitSlice, BitVec};
 pub use channel::{Channel, SlotOutcome};
 pub use context::{Counters, SimConfig, SimContext};
 pub use event::{BroadcastKind, Event, EventLog, TimedEvent};

@@ -1,23 +1,25 @@
 //! Tag population bookkeeping.
 //!
-//! The reader-side protocols iterate over "unread tags" constantly; the
-//! population keeps tags in a dense `Vec` (index = stable handle) and tracks
-//! how many are still active so protocols can terminate without scanning.
+//! The population owns every tag as columns, indexed by handle: the raw
+//! EPC words `ids_hi`/`ids_lo`, every payload packed back to back in one
+//! [`BitColumn`], and the inventory state in two bitsets (one bit per
+//! handle, LSB-first): `active_words` and `deselected_words`, with *asleep*
+//! meaning neither bit is set. No tag has heap storage of its own, so a
+//! population of any size is built, copied and dropped in a handful of
+//! allocations; [`TagPopulation::get`] hands out a borrowed [`Tag`] view.
 //!
-//! The population is the single owner of tag state. A [`Tag`] is only its
-//! ID and payload; the state lives in two bitsets (one bit per handle,
-//! LSB-first): `active_words` and `deselected_words`, with *asleep* meaning
-//! neither bit is set. Per-round work such as the singleton sift iterates
-//! the active bits in O(len/64 + active), EHPP's circle filter deselects a
-//! whole word of tags with one AND/OR, and the rejoin at the end of a
-//! circle is a single O(len/64) OR pass. A structure-of-arrays cache of the
-//! raw ID words lets batch hashing stream the ID blocks without touching
-//! the `Tag` structs.
+//! Per-round work such as the singleton sift iterates the active bits in
+//! O(len/64 + active), EHPP's circle filter deselects a whole word of tags
+//! with one AND/OR, the rejoin at the end of a circle is a single O(len/64)
+//! OR pass, and batch hashing streams the ID columns directly. IDs are
+//! unique; building a population checks that by sorting a copy of the low
+//! ID words, and only when a low word repeats does it walk the IDs in
+//! handle order to name the first repeated one.
 
 #[cfg(debug_assertions)]
 use std::cell::Cell;
 
-use crate::bitvec::BitVec;
+use crate::bitvec::{BitColumn, BitVec};
 use crate::hex::{decode_bitset, encode_bitset, HexReader, HexWriter};
 use crate::id::TagId;
 use crate::json::{FromJson, Json, JsonError, ToJson};
@@ -26,7 +28,11 @@ use crate::tag::{Tag, TagState};
 /// The set of tags in the interrogation zone.
 #[derive(Debug, Clone)]
 pub struct TagPopulation {
-    tags: Vec<Tag>,
+    /// The raw EPC words of handle `i`: `ids_hi[i]` then `ids_lo[i]`.
+    ids_hi: Vec<u32>,
+    ids_lo: Vec<u64>,
+    /// The payload of handle `i` is string `i`.
+    info: BitColumn,
     /// Popcount of `active_words`, kept in step by every transition.
     active: usize,
     /// Number of handles in neither bitset, kept in step likewise.
@@ -36,10 +42,6 @@ pub struct TagPopulation {
     /// Bit `i` of `deselected_words[i / 64]` is set iff tag `i` sits out
     /// the current EHPP circle. Disjoint from `active_words`.
     deselected_words: Vec<u64>,
-    /// SoA cache of the raw EPC words, aligned with `tags` — lets the
-    /// round index batch-hash ID blocks without chasing `Tag` structs.
-    ids_hi: Vec<u32>,
-    ids_lo: Vec<u64>,
     /// Debug-only full-population scan counter; slot handlers assert it
     /// stays unchanged across a slot (no handler may rescan the population).
     #[cfg(debug_assertions)]
@@ -47,13 +49,30 @@ pub struct TagPopulation {
 }
 
 impl PartialEq for TagPopulation {
-    /// Populations compare by tags and state words; the counts and the ID
-    /// cache are derived from those.
+    /// Populations compare by columns and state words; the counts are
+    /// derived from those.
     fn eq(&self, other: &Self) -> bool {
-        self.tags == other.tags
+        self.ids_hi == other.ids_hi
+            && self.ids_lo == other.ids_lo
+            && self.info == other.info
             && self.active_words == other.active_words
             && self.deselected_words == other.deselected_words
     }
+}
+
+/// The first ID that repeats an earlier one, in handle order.
+fn first_repeat(ids_hi: &[u32], ids_lo: &[u64]) -> Option<TagId> {
+    let mut lo = ids_lo.to_vec();
+    lo.sort_unstable();
+    if lo.windows(2).all(|w| w[0] != w[1]) {
+        return None;
+    }
+    let mut seen = std::collections::HashSet::with_capacity(ids_lo.len());
+    ids_hi
+        .iter()
+        .zip(ids_lo)
+        .map(|(&hi, &lo)| TagId::from_raw(hi, lo))
+        .find(|&id| !seen.insert(id))
 }
 
 /// The `n`-bit set with every bit on (padding bits of the last word off).
@@ -89,44 +108,70 @@ impl TagPopulation {
     /// Panics if two tags share an ID — EPCs are unique by definition and
     /// every protocol in the paper relies on it.
     pub fn new(tags: impl IntoIterator<Item = (TagId, BitVec)>) -> Self {
-        let tags: Vec<Tag> = tags
-            .into_iter()
-            .map(|(id, info)| Tag::new(id, info))
-            .collect();
-        let n = tags.len();
-        TagPopulation::from_parts(tags, full_words(n), vec![0; n.div_ceil(64)])
+        let (mut ids_hi, mut ids_lo, mut info) = (Vec::new(), Vec::new(), BitColumn::default());
+        for (id, bits) in tags {
+            ids_hi.push(id.hi());
+            ids_lo.push(id.lo());
+            info.push(bits.as_slice());
+        }
+        TagPopulation::from_columns(ids_hi, ids_lo, info)
             .unwrap_or_else(|id| panic!("duplicate tag ID {id}"))
     }
 
-    /// Builds a population from its tags and state words (disjoint,
-    /// `len/64` rounded up, padding bits clear), deriving the counts and
-    /// the ID cache. Returns the first repeated ID as the error.
-    fn from_parts(
-        tags: Vec<Tag>,
+    /// Builds a population from its columns, every tag active: handle `i`
+    /// has the ID `(ids_hi[i], ids_lo[i])` and the payload `info.get(i)`.
+    /// Returns the first ID that repeats an earlier one as the error.
+    ///
+    /// # Panics
+    /// Panics if the three columns differ in length.
+    pub fn from_columns(
+        ids_hi: Vec<u32>,
+        ids_lo: Vec<u64>,
+        info: BitColumn,
+    ) -> Result<Self, TagId> {
+        if let Some(id) = first_repeat(&ids_hi, &ids_lo) {
+            return Err(id);
+        }
+        let n = ids_lo.len();
+        Ok(TagPopulation::with_state(
+            ids_hi,
+            ids_lo,
+            info,
+            full_words(n),
+            vec![0; n.div_ceil(64)],
+        ))
+    }
+
+    /// Assembles a population from distinct-ID columns and state words
+    /// (disjoint, `len/64` rounded up, padding bits clear), deriving the
+    /// counts.
+    fn with_state(
+        ids_hi: Vec<u32>,
+        ids_lo: Vec<u64>,
+        info: BitColumn,
         active_words: Vec<u64>,
         deselected_words: Vec<u64>,
-    ) -> Result<Self, TagId> {
-        let mut seen = std::collections::HashSet::with_capacity(tags.len());
-        for t in &tags {
-            if !seen.insert(t.id) {
-                return Err(t.id);
-            }
-        }
+    ) -> Self {
+        let n = ids_lo.len();
+        assert!(
+            ids_hi.len() == n && info.len() == n,
+            "columns of {} high words, {n} low words and {} payloads",
+            ids_hi.len(),
+            info.len()
+        );
         let active = popcount(&active_words);
-        let asleep = tags.len() - active - popcount(&deselected_words);
-        let ids_hi: Vec<u32> = tags.iter().map(|t| t.id.hi()).collect();
-        let ids_lo: Vec<u64> = tags.iter().map(|t| t.id.lo()).collect();
-        Ok(TagPopulation {
-            tags,
+        let asleep = n - active - popcount(&deselected_words);
+        TagPopulation {
+            ids_hi,
+            ids_lo,
+            info,
             active,
             asleep,
             active_words,
             deselected_words,
-            ids_hi,
-            ids_lo,
             #[cfg(debug_assertions)]
             scans: Cell::new(0),
-        })
+        }
     }
 
     /// Convenience: `n` tags with sequential raw IDs and the given payload
@@ -135,14 +180,37 @@ impl TagPopulation {
         TagPopulation::new((0..n).map(|i| (TagId::from_raw(0, i as u64), info(i))))
     }
 
+    /// A new population of the tags whose bit is set in `keep` (a handle
+    /// bitset laid out like [`TagPopulation::active_words`]), in handle
+    /// order and every one active: a copy of their ID and payload columns.
+    ///
+    /// # Panics
+    /// Panics if `keep` has a bit set past the last handle.
+    pub fn subset(&self, keep: &[u64]) -> TagPopulation {
+        let n = popcount(keep);
+        let per_tag = if self.is_empty() {
+            0
+        } else {
+            self.info.get(0).len()
+        };
+        let (mut ids_hi, mut ids_lo) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut info = BitColumn::with_capacity(n * per_tag);
+        for_each_bit(keep.iter().copied(), |h| {
+            ids_hi.push(self.ids_hi[h]);
+            ids_lo.push(self.ids_lo[h]);
+            info.push(self.info.get(h));
+        });
+        TagPopulation::with_state(ids_hi, ids_lo, info, full_words(n), vec![0; n.div_ceil(64)])
+    }
+
     /// Total number of tags.
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.ids_lo.len()
     }
 
     /// `true` if the population has no tags.
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.ids_lo.is_empty()
     }
 
     /// Number of tags still active (unread and not deselected).
@@ -150,9 +218,15 @@ impl TagPopulation {
         self.active
     }
 
-    /// Immutable access to a tag by handle.
-    pub fn get(&self, idx: usize) -> &Tag {
-        &self.tags[idx]
+    /// The ID and payload of the tag at handle `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx` is not a handle of this population.
+    pub fn get(&self, idx: usize) -> Tag<'_> {
+        Tag {
+            id: TagId::from_raw(self.ids_hi[idx], self.ids_lo[idx]),
+            info: self.info.get(idx),
+        }
     }
 
     /// The word index and bit of handle `idx`.
@@ -162,9 +236,9 @@ impl TagPopulation {
     #[inline]
     fn slot(&self, idx: usize) -> (usize, u64) {
         assert!(
-            idx < self.tags.len(),
+            idx < self.len(),
             "tag {idx} out of range for {} tags",
-            self.tags.len()
+            self.len()
         );
         (idx / 64, 1u64 << (idx % 64))
     }
@@ -190,9 +264,9 @@ impl TagPopulation {
 
     /// All tags (any state), with handles. Counts as a full-population scan
     /// for the debug slot-handler assertion.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Tag)> {
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Tag<'_>)> {
         self.note_scan();
-        self.tags.iter().enumerate()
+        (0..self.len()).map(|idx| (idx, self.get(idx)))
     }
 
     /// Handles of currently active tags.
@@ -208,7 +282,7 @@ impl TagPopulation {
     /// Handles of tags not yet read (active or deselected), ascending.
     pub fn unread_handles(&self) -> Vec<usize> {
         self.note_scan();
-        let mut out = Vec::with_capacity(self.tags.len() - self.asleep);
+        let mut out = Vec::with_capacity(self.len() - self.asleep);
         let unread = self
             .active_words
             .iter()
@@ -253,9 +327,18 @@ impl TagPopulation {
         &self.deselected_words
     }
 
-    /// The SoA cache of raw EPC words, aligned with handles: `(hi, lo)`.
+    /// The raw EPC word columns, aligned with handles: `(hi, lo)`.
     pub fn id_words(&self) -> (&[u32], &[u64]) {
         (&self.ids_hi, &self.ids_lo)
+    }
+
+    /// The asleep-set bitset words: handles in neither state set.
+    pub fn asleep_words(&self) -> Vec<u64> {
+        full_words(self.len())
+            .iter()
+            .zip(self.active_words.iter().zip(&self.deselected_words))
+            .map(|(all, (a, d))| all & !(a | d))
+            .collect()
     }
 
     /// Puts tag `idx` to sleep (after a successful interrogation).
@@ -291,20 +374,20 @@ impl TagPopulation {
     /// Re-activates every deselected tag (start of the next circle): one
     /// O(len/64) OR pass, free when nobody is deselected.
     pub fn reselect_all(&mut self) {
-        if self.active + self.asleep == self.tags.len() {
+        if self.active + self.asleep == self.len() {
             return;
         }
         for (a, d) in self.active_words.iter_mut().zip(&mut self.deselected_words) {
             *a |= std::mem::take(d);
         }
-        self.active = self.tags.len() - self.asleep;
+        self.active = self.len() - self.asleep;
     }
 
     /// Number of tags asleep (successfully read).
     pub fn asleep_count(&self) -> usize {
         debug_assert_eq!(
             self.asleep,
-            self.tags.len() - popcount(&self.active_words) - popcount(&self.deselected_words)
+            self.len() - popcount(&self.active_words) - popcount(&self.deselected_words)
         );
         self.asleep
     }
@@ -313,12 +396,12 @@ impl TagPopulation {
     /// deselected tags still listen (they must hear the next circle
     /// command). Drives the energy model's listen integral.
     pub fn listening_count(&self) -> usize {
-        self.tags.len() - self.asleep
+        self.len() - self.asleep
     }
 
     /// `true` once every tag has been read.
     pub fn all_asleep(&self) -> bool {
-        self.asleep_count() == self.tags.len()
+        self.asleep_count() == self.len()
     }
 
     #[cfg(debug_assertions)]
@@ -349,28 +432,20 @@ impl ToJson for TagPopulation {
     /// * `info_lens` — the payload lengths as runs `[[len, count], …]`;
     /// * `asleep`, `deselected` — `n`-bit hex bitsets of the tag states.
     ///
-    /// The counts and ID cache are derived state and are rebuilt on load.
+    /// The counts are derived state and are rebuilt on load.
     fn to_json(&self) -> Json {
-        let n = self.tags.len();
-        let info_bits = self.tags.iter().map(|t| t.info.len()).sum();
+        let n = self.len();
         let mut ids = HexWriter::with_bits(n * 96);
-        let mut info = HexWriter::with_bits(info_bits);
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for t in &self.tags {
-            ids.push(u64::from(t.id.hi()), 32);
-            ids.push(t.id.lo(), 64);
-            t.info.pack_into(&mut info);
-            match runs.last_mut() {
-                Some((len, count)) if *len == t.info.len() => *count += 1,
-                _ => runs.push((t.info.len(), 1)),
-            }
+        for (&hi, &lo) in self.ids_hi.iter().zip(&self.ids_lo) {
+            ids.push(u64::from(hi), 32);
+            ids.push(lo, 64);
         }
-        let asleep: Vec<u64> = full_words(n)
-            .iter()
-            .zip(self.active_words.iter().zip(&self.deselected_words))
-            .map(|(all, (a, d))| all & !(a | d))
-            .collect();
-        let runs = runs
+        let mut info = HexWriter::with_bits(self.info.bits());
+        self.info.pack_into(&mut info);
+        let asleep = self.asleep_words();
+        let runs = self
+            .info
+            .runs()
             .into_iter()
             .map(|(len, count)| Json::Arr(vec![len.to_json(), count.to_json()]))
             .collect();
@@ -422,21 +497,23 @@ impl FromJson for TagPopulation {
                 "tag {idx} is both asleep and deselected"
             )));
         }
-        let mut tags = Vec::with_capacity(n);
-        for (len, count) in runs {
-            for _ in 0..count {
-                let hi = ids.read(32) as u32;
-                let id = TagId::from_raw(hi, ids.read(64));
-                tags.push(Tag::new(id, BitVec::unpack_from(&mut info, len)));
-            }
+        let (mut ids_hi, mut ids_lo) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            ids_hi.push(ids.read(32) as u32);
+            ids_lo.push(ids.read(64));
         }
+        if let Some(id) = first_repeat(&ids_hi, &ids_lo) {
+            return Err(JsonError(format!("duplicate tag ID {id}")));
+        }
+        let info = BitColumn::unpack_from(&mut info, &runs, info_bits);
         let active = full_words(n)
             .iter()
             .zip(asleep.iter().zip(&deselected))
             .map(|(all, (s, d))| all & !(s | d))
             .collect();
-        TagPopulation::from_parts(tags, active, deselected)
-            .map_err(|id| JsonError(format!("duplicate tag ID {id}")))
+        Ok(TagPopulation::with_state(
+            ids_hi, ids_lo, info, active, deselected,
+        ))
     }
 }
 

@@ -5,9 +5,11 @@
 //! temperature word, …) and an inventory state. Per the paper, a tag that
 //! has been interrogated "goes to sleep in the following protocol
 //! execution"; tags that picked collision indices stay active for the next
-//! round. The population, not the tag, records which state each tag is in.
+//! round. No struct owns a tag: the [`TagPopulation`](crate::TagPopulation)
+//! keeps every ID, payload and state in columns, and [`Tag`] is a borrowed
+//! view of one handle's ID and payload.
 
-use crate::bitvec::BitVec;
+use crate::bitvec::BitSlice;
 use crate::id::TagId;
 
 /// Inventory state of a tag.
@@ -21,21 +23,14 @@ pub enum TagState {
     Deselected,
 }
 
-/// One RFID tag: its identity and payload. Its inventory state is owned by
-/// the [`TagPopulation`](crate::TagPopulation) it belongs to.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Tag {
+/// One RFID tag's identity and payload, borrowed from its population's
+/// columns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tag<'a> {
     /// The 96-bit EPC.
     pub id: TagId,
     /// The information payload the reader wants (length = `m` bits).
-    pub info: BitVec,
-}
-
-impl Tag {
-    /// A tag with the given EPC and payload.
-    pub fn new(id: TagId, info: BitVec) -> Self {
-        Tag { id, info }
-    }
+    pub info: BitSlice<'a>,
 }
 
 crate::impl_json_enum_units!(TagState {
@@ -43,4 +38,3 @@ crate::impl_json_enum_units!(TagState {
     Asleep,
     Deselected
 });
-crate::impl_json_struct!(Tag { id, info });

@@ -6,8 +6,8 @@ use rfid_c1g2::Micros;
 use rfid_system::json::{from_json_str, to_json_string, FromJson, Json, ToJson};
 use rfid_system::{
     BitVec, BroadcastKind, Channel, Counters, Event, EventLog, FaultModel, FaultPlan,
-    GilbertElliott, KillRule, RoundRange, SimConfig, SlotOutcome, Tag, TagId, TagPopulation,
-    TagState, TimedEvent,
+    GilbertElliott, KillRule, RoundRange, SimConfig, SlotOutcome, TagId, TagPopulation, TagState,
+    TimedEvent,
 };
 
 fn round_trip<T>(value: &T)
@@ -50,16 +50,16 @@ fn tag_and_state_round_trip() {
     for state in [TagState::Active, TagState::Asleep, TagState::Deselected] {
         round_trip(&state);
     }
-    let tag = Tag::new(TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
-    round_trip(&tag);
-    // A tag's state lives in its population, so a slept tag round-trips
-    // through the population's columns.
-    let mut pop = TagPopulation::new(vec![(tag.id, tag.info.clone())]);
+    let (id, info) = (TagId::from_raw(7, 42), BitVec::from_str_bits("1011"));
+    // A tag's ID, payload and state live in its population's columns, so a
+    // slept tag round-trips through them.
+    let mut pop = TagPopulation::new(vec![(id, info.clone())]);
     pop.sleep(0);
     round_trip(&pop);
     let back: TagPopulation = from_json_str(&to_json_string(&pop)).unwrap();
     assert_eq!(back.state(0), TagState::Asleep);
-    assert_eq!(back.get(0), &tag);
+    assert_eq!(back.get(0).id, id);
+    assert_eq!(back.get(0).info, info);
 }
 
 #[test]
@@ -78,9 +78,17 @@ fn population_round_trips_with_mixed_states() {
 
 #[test]
 fn population_rejects_duplicate_ids() {
-    let tag = Tag::new(TagId::from_raw(0, 1), BitVec::new());
-    let doc = Json::Arr(vec![tag.to_json(), tag.to_json()]);
+    let tag = per_tag_object(TagId::from_raw(0, 1), BitVec::new());
+    let doc = Json::Arr(vec![tag.clone(), tag]);
     assert!(from_json_str::<TagPopulation>(&doc.to_string()).is_err());
+}
+
+/// One tag as the `{id, info}` object older per-tag snapshots carried.
+fn per_tag_object(id: TagId, info: BitVec) -> Json {
+    Json::Obj(vec![
+        ("id".to_string(), id.to_json()),
+        ("info".to_string(), info.to_json()),
+    ])
 }
 
 /// `doc` with field `key` replaced by `value`.
@@ -136,9 +144,38 @@ fn population_rejects_duplicate_ids_in_columnar_form() {
 }
 
 #[test]
+fn duplicate_ids_are_named_in_handle_order() {
+    // Handles 0..4 carry the IDs 9, 3, 9, 3: the first repeat in handle
+    // order is 9 (at handle 2), though 3 is the smaller repeated ID.
+    let ids = [9u64, 3, 9, 3];
+    let doc = with_field(
+        &TagPopulation::sequential(4, |_| BitVec::new()).to_json(),
+        "ids",
+        Json::str(
+            ids.iter()
+                .map(|lo| format!("{lo:024x}"))
+                .collect::<String>(),
+        ),
+    );
+    let expected = format!("duplicate tag ID {}", TagId::from_raw(0, 9));
+    assert_eq!(population_error(&doc), format!("json error: {expected}"));
+    let panic = std::panic::catch_unwind(|| {
+        TagPopulation::new(ids.map(|lo| (TagId::from_raw(0, lo), BitVec::new())))
+    })
+    .expect_err("a repeated ID must be rejected");
+    assert_eq!(
+        panic.downcast_ref::<String>().map(String::as_str),
+        Some(expected.as_str())
+    );
+    // A repeated low word alone is no repeat: the high words differ.
+    let twins = (0..2u32).map(|hi| (TagId::from_raw(hi, 7), BitVec::new()));
+    assert_eq!(TagPopulation::new(twins).len(), 2);
+}
+
+#[test]
 fn population_rejects_the_per_tag_array_naming_the_columns() {
-    let tag = Tag::new(TagId::from_raw(0, 1), BitVec::from_str_bits("01"));
-    let err = population_error(&Json::Arr(vec![tag.to_json()]));
+    let tag = per_tag_object(TagId::from_raw(0, 1), BitVec::from_str_bits("01"));
+    let err = population_error(&Json::Arr(vec![tag]));
     assert!(
         err.contains("n, ids, info, info_lens, asleep, deselected"),
         "{err}"

@@ -9,7 +9,7 @@
 //! shared prefixes.
 
 use rfid_hash::Xoshiro256;
-use rfid_system::id::{TagId, CLASS_BITS, MANAGER_BITS, SERIAL_BITS};
+use rfid_system::id::{TagId, CLASS_BITS, EPC_BITS, MANAGER_BITS, SERIAL_BITS};
 
 /// How tag IDs are distributed.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,10 +43,77 @@ pub enum IdDistribution {
 }
 
 impl IdDistribution {
-    /// Generates `n` distinct tag IDs deterministically from `rng`.
+    /// How many distinct IDs the distribution can yield.
+    ///
+    /// # Panics
+    /// Panics if a shared prefix is longer than an EPC.
+    fn capacity(&self) -> u128 {
+        match self {
+            IdDistribution::UniformRandom => 1 << EPC_BITS,
+            IdDistribution::Sequential { .. } => 1 << SERIAL_BITS,
+            // Category `c` fills the manager and class fields with
+            // `c mod 2^28` and `c mod 2^24`: 2^28 distinct prefixes at most.
+            IdDistribution::Clustered { categories } | IdDistribution::Zipf { categories, .. } => {
+                u128::from((*categories).min(1 << MANAGER_BITS)) << SERIAL_BITS
+            }
+            IdDistribution::SharedPrefix { prefix_bits } => {
+                assert!(
+                    *prefix_bits as usize <= EPC_BITS,
+                    "prefix longer than an EPC"
+                );
+                1 << (EPC_BITS - *prefix_bits as usize)
+            }
+        }
+    }
+
+    /// Generates `n` distinct tag IDs deterministically from `rng`: it
+    /// draws IDs in turn and skips every repeat of an earlier one.
+    ///
+    /// # Panics
+    /// Panics if the distribution has fewer than `n` distinct IDs.
     pub fn generate(&self, n: usize, rng: &mut Xoshiro256) -> Vec<TagId> {
+        let mut draw = self.sampler(n);
         let mut seen = std::collections::HashSet::with_capacity(n);
         let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            let id = draw(rng);
+            if seen.insert(id) {
+                out.push(id);
+            }
+        }
+        out
+    }
+
+    /// The first `n` IDs drawn from `rng`, as `(hi, lo)` word columns,
+    /// without checking them for repeats. When they are distinct they are
+    /// exactly what [`IdDistribution::generate`] returns from the same
+    /// `rng`.
+    ///
+    /// # Panics
+    /// Panics if the distribution has fewer than `n` distinct IDs.
+    pub fn draw_columns(&self, n: usize, rng: &mut Xoshiro256) -> (Vec<u32>, Vec<u64>) {
+        let mut draw = self.sampler(n);
+        let (mut hi, mut lo) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let id = draw(rng);
+            hi.push(id.hi());
+            lo.push(id.lo());
+        }
+        (hi, lo)
+    }
+
+    /// A sampler that draws one ID per call, for a request of `n` distinct
+    /// IDs.
+    ///
+    /// # Panics
+    /// Panics if the distribution has fewer than `n` distinct IDs, since
+    /// no number of draws could then satisfy the request.
+    fn sampler(&self, n: usize) -> impl FnMut(&mut Xoshiro256) -> TagId + '_ {
+        let capacity = self.capacity();
+        assert!(
+            n as u128 <= capacity,
+            "cannot draw {n} distinct IDs from {self:?}: it has only {capacity}"
+        );
         let zipf = if let IdDistribution::Zipf {
             categories,
             exponent,
@@ -60,69 +127,56 @@ impl IdDistribution {
             IdDistribution::Sequential { start } => *start,
             _ => 0,
         };
-        while out.len() < n {
-            let id = match self {
-                IdDistribution::UniformRandom => {
-                    TagId::from_raw(rng.next_u64() as u32, rng.next_u64())
-                }
-                IdDistribution::Sequential { .. } => {
-                    let id = TagId::from_fields(
-                        0x30,
-                        1,
-                        1,
-                        serial_counter & ((1u64 << SERIAL_BITS) - 1),
-                    );
-                    serial_counter += 1;
-                    id
-                }
-                IdDistribution::Clustered { categories } => {
-                    let cat = rng.below(*categories as u64) as u32;
-                    TagId::from_fields(
-                        0x30,
-                        cat % (1 << MANAGER_BITS),
-                        cat % (1 << CLASS_BITS),
-                        rng.next_u64() & ((1u64 << SERIAL_BITS) - 1),
-                    )
-                }
-                IdDistribution::Zipf { .. } => {
-                    let cat = zipf.as_ref().expect("sampler built above").sample(rng);
-                    TagId::from_fields(
-                        0x30,
-                        cat % (1 << MANAGER_BITS),
-                        cat % (1 << CLASS_BITS),
-                        rng.next_u64() & ((1u64 << SERIAL_BITS) - 1),
-                    )
-                }
-                IdDistribution::SharedPrefix { prefix_bits } => {
-                    assert!(*prefix_bits <= 96, "prefix longer than an EPC");
-                    // Fixed prefix of alternating bits, random remainder.
-                    let fixed_hi: u32 = 0xAAAA_AAAA;
-                    let fixed_lo: u64 = 0xAAAA_AAAA_AAAA_AAAA;
-                    let (mut hi, mut lo) = (rng.next_u64() as u32, rng.next_u64());
-                    let p = *prefix_bits;
-                    if p >= 32 {
-                        hi = fixed_hi;
-                        let low_fixed = (p - 32).min(64);
-                        if low_fixed > 0 {
-                            let mask = if low_fixed == 64 {
-                                u64::MAX
-                            } else {
-                                !(u64::MAX >> low_fixed)
-                            };
-                            lo = (fixed_lo & mask) | (lo & !mask);
-                        }
-                    } else if p > 0 {
-                        let mask = !(u32::MAX >> p);
-                        hi = (fixed_hi & mask) | (hi & !mask);
+        move |rng| match self {
+            IdDistribution::UniformRandom => TagId::from_raw(rng.next_u64() as u32, rng.next_u64()),
+            IdDistribution::Sequential { .. } => {
+                let id =
+                    TagId::from_fields(0x30, 1, 1, serial_counter & ((1u64 << SERIAL_BITS) - 1));
+                serial_counter += 1;
+                id
+            }
+            IdDistribution::Clustered { categories } => {
+                let cat = rng.below(*categories as u64) as u32;
+                TagId::from_fields(
+                    0x30,
+                    cat % (1 << MANAGER_BITS),
+                    cat % (1 << CLASS_BITS),
+                    rng.next_u64() & ((1u64 << SERIAL_BITS) - 1),
+                )
+            }
+            IdDistribution::Zipf { .. } => {
+                let cat = zipf.as_ref().expect("sampler built above").sample(rng);
+                TagId::from_fields(
+                    0x30,
+                    cat % (1 << MANAGER_BITS),
+                    cat % (1 << CLASS_BITS),
+                    rng.next_u64() & ((1u64 << SERIAL_BITS) - 1),
+                )
+            }
+            IdDistribution::SharedPrefix { prefix_bits } => {
+                // Fixed prefix of alternating bits, random remainder.
+                let fixed_hi: u32 = 0xAAAA_AAAA;
+                let fixed_lo: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+                let (mut hi, mut lo) = (rng.next_u64() as u32, rng.next_u64());
+                let p = *prefix_bits;
+                if p >= 32 {
+                    hi = fixed_hi;
+                    let low_fixed = (p - 32).min(64);
+                    if low_fixed > 0 {
+                        let mask = if low_fixed == 64 {
+                            u64::MAX
+                        } else {
+                            !(u64::MAX >> low_fixed)
+                        };
+                        lo = (fixed_lo & mask) | (lo & !mask);
                     }
-                    TagId::from_raw(hi, lo)
+                } else if p > 0 {
+                    let mask = !(u32::MAX >> p);
+                    hi = (fixed_hi & mask) | (hi & !mask);
                 }
-            };
-            if seen.insert(id) {
-                out.push(id);
+                TagId::from_raw(hi, lo)
             }
         }
-        out
     }
 }
 
@@ -313,6 +367,38 @@ mod tests {
         let ids = IdDistribution::SharedPrefix { prefix_bits: 0 }.generate(10, &mut rng());
         let his: std::collections::HashSet<u32> = ids.iter().map(|i| i.hi()).collect();
         assert!(his.len() > 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot draw 2 distinct IDs from SharedPrefix { prefix_bits: 96 }: it has only 1"
+    )]
+    fn a_full_shared_prefix_cannot_yield_two_ids() {
+        crate::Scenario::uniform(2, 1)
+            .with_ids(IdDistribution::SharedPrefix { prefix_bits: 96 })
+            .build_population();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot draw 65 distinct IDs from SharedPrefix { prefix_bits: 90 }: it has only 64"
+    )]
+    fn a_six_bit_remainder_cannot_yield_65_ids() {
+        IdDistribution::SharedPrefix { prefix_bits: 90 }.generate(65, &mut rng());
+    }
+
+    #[test]
+    fn a_distribution_yields_up_to_its_capacity() {
+        let d = IdDistribution::SharedPrefix { prefix_bits: 90 };
+        assert_eq!(d.capacity(), 64);
+        let ids = d.generate(64, &mut rng());
+        let set: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(set.len(), 64);
+        assert_eq!(
+            IdDistribution::Clustered { categories: 3 }.capacity(),
+            3 << 36
+        );
+        assert_eq!(IdDistribution::UniformRandom.capacity(), 1 << 96);
     }
 
     #[test]

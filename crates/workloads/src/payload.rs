@@ -6,7 +6,7 @@
 //! bit against theft, a battery energy level, or a chilled-food temperature.
 
 use rfid_hash::Xoshiro256;
-use rfid_system::BitVec;
+use rfid_system::{BitColumn, BitSlice, BitVec};
 
 /// What the `m` information bits encode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,10 +31,31 @@ impl PayloadKind {
     /// # Panics
     /// Panics if `bits == 0` or `bits > 64` for the numeric kinds.
     pub fn generate(&self, bits: usize, rng: &mut Xoshiro256) -> BitVec {
+        let mut one = BitColumn::with_capacity(bits);
+        self.write(bits, rng, &mut one);
+        one.get(0).to_bitvec()
+    }
+
+    /// Appends the `bits`-long payload of one tag to `out` as a finished
+    /// string. A population's payloads are written this way, one tag after
+    /// another, straight into its column.
+    ///
+    /// # Panics
+    /// Panics if `bits == 0` or `bits > 64` for the numeric kinds.
+    pub fn write(&self, bits: usize, rng: &mut Xoshiro256, out: &mut BitColumn) {
         assert!(bits >= 1, "payloads are at least one bit (m ≥ 1)");
         match self {
-            PayloadKind::Presence => BitVec::from_bits((0..bits).map(|_| true)),
-            PayloadKind::Random => BitVec::from_bits((0..bits).map(|_| rng.chance(0.5))),
+            PayloadKind::Presence | PayloadKind::Random => {
+                for start in (0..bits).step_by(64) {
+                    let width = (bits - start).min(64);
+                    let chunk = if *self == PayloadKind::Random {
+                        (0..width).fold(0u64, |acc, _| acc << 1 | u64::from(rng.chance(0.5)))
+                    } else {
+                        u64::MAX
+                    };
+                    out.push_bits(chunk, width);
+                }
+            }
             PayloadKind::BatteryLevel => {
                 assert!(bits <= 64, "battery level payload too wide");
                 let level = rng.below(101); // 0..=100 %
@@ -43,7 +64,7 @@ impl PayloadKind {
                 } else {
                     level.min((1 << bits) - 1)
                 };
-                BitVec::from_value(max, bits)
+                out.push_bits(max, bits);
             }
             PayloadKind::Temperature { base_quarters } => {
                 assert!(bits <= 64, "temperature payload too wide");
@@ -56,20 +77,21 @@ impl PayloadKind {
                 } else {
                     (1 << bits) - 1
                 });
-                BitVec::from_value(capped, bits)
+                out.push_bits(capped, bits);
             }
         }
+        out.end_string();
     }
 }
 
 /// Decodes a battery-level payload back to percent.
-pub fn decode_battery(info: &BitVec) -> u64 {
-    info.to_value()
+pub fn decode_battery<'a>(info: impl Into<BitSlice<'a>>) -> u64 {
+    info.into().to_value()
 }
 
 /// Decodes a temperature payload back to °C.
-pub fn decode_temperature(info: &BitVec) -> f64 {
-    (info.to_value() as f64 - 160.0) / 4.0
+pub fn decode_temperature<'a>(info: impl Into<BitSlice<'a>>) -> f64 {
+    (info.into().to_value() as f64 - 160.0) / 4.0
 }
 
 impl rfid_system::ToJson for PayloadKind {
@@ -155,6 +177,64 @@ mod tests {
             let p = PayloadKind::Temperature { base_quarters: 16 }.generate(16, &mut r);
             let t = decode_temperature(&p);
             assert!((t - 4.0).abs() <= 2.01, "temperature {t}");
+        }
+    }
+
+    /// Each kind's payloads at widths 1, 7, 16 and 64 (and 70 for the
+    /// kinds of any width), drawn in turn from one generator: the bits the
+    /// per-bit `BitVec` generator produced before payloads were written
+    /// into columns.
+    #[test]
+    fn payload_bits_are_pinned() {
+        let pins: [(PayloadKind, &[&str]); 4] = [
+            (
+                PayloadKind::Presence,
+                &[
+                    "1",
+                    "1111111",
+                    &"1".repeat(16),
+                    &"1".repeat(64),
+                    &"1".repeat(70),
+                ],
+            ),
+            (
+                PayloadKind::Random,
+                &[
+                    "1",
+                    "0101010",
+                    "1110100111001101",
+                    "0110010011000010111000111100001001110101111010010001010011010001",
+                    "0111111011000101101101101001001000001111001011001010010010101101000000",
+                ],
+            ),
+            (
+                PayloadKind::BatteryLevel,
+                &[
+                    "1",
+                    "1011100",
+                    "0000000000101100",
+                    &format!("{:064b}", 0b110_0010),
+                ],
+            ),
+            (
+                PayloadKind::Temperature { base_quarters: 16 },
+                &[
+                    "1",
+                    "1111111",
+                    "0000000010101111",
+                    &format!("{:064b}", 0b1011_1000),
+                ],
+            ),
+        ];
+        for (kind, expected) in pins {
+            let mut r = rng();
+            for (&want, bits) in expected.iter().zip([1, 7, 16, 64, 70]) {
+                assert_eq!(
+                    kind.generate(bits, &mut r).to_string(),
+                    want,
+                    "{kind:?} at {bits} bits"
+                );
+            }
         }
     }
 

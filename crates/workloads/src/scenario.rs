@@ -6,7 +6,7 @@
 //! next to their results.
 
 use rfid_hash::{split_seed, Xoshiro256};
-use rfid_system::{TagId, TagPopulation};
+use rfid_system::{BitColumn, TagId, TagPopulation};
 
 use crate::ids::IdDistribution;
 use crate::payload::PayloadKind;
@@ -87,14 +87,37 @@ impl Scenario {
     }
 
     /// Deterministically builds the tag population.
+    ///
+    /// The IDs are the scenario's first `n` draws when those are distinct,
+    /// which [`TagPopulation::from_columns`] checks. Otherwise the build
+    /// starts again from the same seed and skips repeats as
+    /// [`IdDistribution::generate`] does. Either way the IDs equal that
+    /// function's output. The payloads are drawn tag by tag straight into
+    /// the population's payload column.
+    ///
+    /// # Panics
+    /// Panics if the ID distribution has fewer than `n` distinct IDs, or
+    /// if the payload width is invalid for the payload kind.
     pub fn build_population(&self) -> TagPopulation {
-        let mut id_rng = Xoshiro256::seed_from_u64(split_seed(self.seed, 0));
-        let mut payload_rng = Xoshiro256::seed_from_u64(split_seed(self.seed, 1));
-        let ids = self.id_dist.generate(self.n, &mut id_rng);
-        TagPopulation::new(
-            ids.into_iter()
-                .map(|id| (id, self.payload.generate(self.info_bits, &mut payload_rng))),
-        )
+        let id_rng = || Xoshiro256::seed_from_u64(split_seed(self.seed, 0));
+        let (hi, lo) = self.id_dist.draw_columns(self.n, &mut id_rng());
+        TagPopulation::from_columns(hi, lo, self.payloads()).unwrap_or_else(|_| {
+            let ids = self.id_dist.generate(self.n, &mut id_rng());
+            let (hi, lo) = ids.iter().map(|id| (id.hi(), id.lo())).unzip();
+            TagPopulation::from_columns(hi, lo, self.payloads())
+                .expect("generate draws distinct IDs")
+        })
+    }
+
+    /// The payload column: `n` payloads drawn in turn from the payload
+    /// stream.
+    fn payloads(&self) -> BitColumn {
+        let mut rng = Xoshiro256::seed_from_u64(split_seed(self.seed, 1));
+        let mut info = BitColumn::with_capacity(self.n.saturating_mul(self.info_bits));
+        for _ in 0..self.n {
+            self.payload.write(self.info_bits, &mut rng, &mut info);
+        }
+        info
     }
 
     /// Builds a missing-tag variant: the reader expects all `n` IDs but only
@@ -111,16 +134,13 @@ impl Scenario {
         let full = self.build_population();
         let expected: Vec<TagId> = full.iter().map(|(_, t)| t.id).collect();
         let mut pick_rng = Xoshiro256::seed_from_u64(split_seed(self.seed, 3));
-        let gone: std::collections::HashSet<usize> = pick_rng
-            .sample_indices(self.n, missing)
-            .into_iter()
-            .collect();
-        let present = TagPopulation::new(
-            full.iter()
-                .filter(|(i, _)| !gone.contains(i))
-                .map(|(_, t)| (t.id, t.info.clone())),
-        );
-        (expected, present)
+        // Every tag of a fresh population is active: keep them all but the
+        // missing ones.
+        let mut keep = full.active_words().to_vec();
+        for i in pick_rng.sample_indices(self.n, missing) {
+            keep[i / 64] &= !(1 << (i % 64));
+        }
+        (expected, full.subset(&keep))
     }
 }
 

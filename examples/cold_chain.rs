@@ -45,13 +45,13 @@ fn main() {
     let temps: Vec<f64> = tpp
         .collected
         .iter()
-        .map(|(_, info)| decode_temperature(info))
+        .map(|(_, tag)| decode_temperature(tag.info))
         .collect();
     let mean = temps.iter().sum::<f64>() / temps.len() as f64;
-    let warm: Vec<(&TagId, f64)> = tpp
+    let warm: Vec<(TagId, f64)> = tpp
         .collected
         .iter()
-        .map(|(id, info)| (id, decode_temperature(info)))
+        .map(|(_, tag)| (tag.id, decode_temperature(tag.info)))
         .filter(|(_, t)| *t > threshold)
         .collect();
 

@@ -29,7 +29,7 @@ fn identical_seeds_produce_identical_runs() {
             b.report().counters.reader_bits
         );
         assert_eq!(a.collected.len(), b.collected.len());
-        for (x, y) in a.collected.iter().zip(&b.collected) {
+        for (x, y) in a.collected.iter().zip(b.collected.iter()) {
             assert_eq!(x, y);
         }
     }

@@ -104,7 +104,7 @@ fn moderate_faults_collect_every_payload_intact() {
         for (_, tag) in reference.iter() {
             assert_eq!(
                 outcome.payload_of(tag.id),
-                Some(&tag.info),
+                Some(tag.info),
                 "{} corrupted payload of {}",
                 protocol.name(),
                 tag.id

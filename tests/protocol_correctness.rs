@@ -55,7 +55,7 @@ fn every_protocol_completes_on_every_distribution() {
             for (_, tag) in reference.iter() {
                 assert_eq!(
                     outcome.payload_of(tag.id),
-                    Some(&tag.info),
+                    Some(tag.info),
                     "{} corrupted {} under {:?}",
                     protocol.name(),
                     tag.id,
