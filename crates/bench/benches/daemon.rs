@@ -2,24 +2,16 @@
 //! absorbs hundreds of short inventory sessions from concurrent TCP
 //! clients, plus a single-connection loopback baseline with no kernel
 //! sockets in the path. Per-session wall latency lands in a
-//! `Log2Histogram` for percentile reporting; every session must complete
-//! (the gate), and the report records sessions/sec alongside the latency
-//! distribution.
-//!
-//! Writes `BENCH_daemon.json` (schema: `{"group":"daemon","results":
-//! [{"name","protocol","clients","sessions","expected","completed","n",
-//! "sessions_per_sec","latency_p50_us","latency_p90_us","latency_p99_us",
-//! "latency_mean_us"}]}`) next to the other bench reports so
-//! `scripts/verify.sh` and `obs_report --check-daemon` can gate on it.
+//! `Log2Histogram` for percentile reporting, printed with sessions/sec.
+//! Every session must complete (the gate): the bench exits nonzero on a
+//! miss.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rfid_bench::find_target_dir;
 use rfid_daemon::{serve_connection, Daemon, DaemonClient, RunEnd, Service};
 use rfid_obs::Log2Histogram;
-use rfid_system::{Json, ToJson};
 use rfid_wire::{loopback, OpenRequest, Transport};
 
 const PROTOCOL: &str = "TPP";
@@ -143,7 +135,6 @@ fn main() {
         .skip(1)
         .find(|a| !a.starts_with('-'))
         .filter(|a| !a.is_empty());
-    let mut results: Vec<Json> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
     let cases: Vec<CaseResult> = [
@@ -180,39 +171,6 @@ fn main() {
                 "{}: only {}/{} sessions completed",
                 case.name, case.completed, case.expected
             ));
-        }
-        results.push(Json::Obj(vec![
-            ("name".to_string(), case.name.to_json()),
-            ("protocol".to_string(), PROTOCOL.to_json()),
-            ("clients".to_string(), case.clients.to_json()),
-            ("sessions".to_string(), case.expected.to_json()),
-            ("expected".to_string(), case.expected.to_json()),
-            ("completed".to_string(), case.completed.to_json()),
-            ("n".to_string(), N.to_json()),
-            ("sessions_per_sec".to_string(), sessions_per_sec.to_json()),
-            ("latency_p50_us".to_string(), pct(0.5).to_json()),
-            ("latency_p90_us".to_string(), pct(0.9).to_json()),
-            ("latency_p99_us".to_string(), pct(0.99).to_json()),
-            (
-                "latency_mean_us".to_string(),
-                case.latencies.mean().to_json(),
-            ),
-        ]));
-    }
-
-    if !results.is_empty() {
-        let report = Json::Obj(vec![
-            ("group".to_string(), "daemon".to_json()),
-            ("results".to_string(), Json::Arr(results)),
-        ])
-        .to_pretty_string();
-        let file = "BENCH_daemon.json";
-        let path = find_target_dir()
-            .map(|d| d.join(file))
-            .unwrap_or_else(|| file.into());
-        match std::fs::write(&path, report + "\n") {
-            Ok(()) => println!("report: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
     }
 

@@ -11,20 +11,16 @@
 //! the Q-algorithm, whose remaining Ω(remaining)-per-round term is the
 //! protocol itself (fresh-seed re-hash per circle, counter redraw per
 //! frame), gate at constant-factor floors; the rest are tracked for
-//! regressions.
-//!
-//! Writes `BENCH_hotpath.json` (schema: `{"group":"hotpath","results":
-//! [{"name","n","seconds","tags_per_sec","slots_per_sec","baseline_tags_per_sec",
-//! "speedup"}]}`) next to the other bench reports so `scripts/verify.sh`
-//! can check it stays present and well-formed.
+//! regressions. An unfiltered run must also complete a 1M-tag case and
+//! clear ≥ 10× on at least one gated n = 100k case; the bench exits
+//! nonzero on any miss.
 
 use std::time::Instant;
 
 use rfid_baselines::{FsaConfig, LowerBound, MicConfig};
-use rfid_bench::find_target_dir;
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};
 use rfid_protocols::{EhppConfig, HppConfig, PollingProtocol, TppConfig};
-use rfid_system::{BitVec, Json, SimConfig, SimContext, TagPopulation, ToJson};
+use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
 
 /// One throughput case: a protocol at a population size, with the
 /// throughput the pre-change simulator achieved there (tags/sec, measured
@@ -171,8 +167,9 @@ fn main() {
         .skip(1)
         .find(|a| !a.starts_with('-'))
         .filter(|a| !a.is_empty());
-    let mut results: Vec<Json> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
+    let mut million_tag_run = false;
+    let mut gated_100k_at_10x = false;
 
     for case in CASES {
         let label = format!("{}_{}", case.name, case.n);
@@ -209,34 +206,19 @@ fn main() {
                 ));
             }
         }
-        results.push(Json::Obj(vec![
-            ("name".to_string(), case.name.to_json()),
-            ("n".to_string(), (case.n as u64).to_json()),
-            ("seconds".to_string(), seconds.to_json()),
-            ("tags_per_sec".to_string(), tags_per_sec.to_json()),
-            ("slots_per_sec".to_string(), slots_per_sec.to_json()),
-            (
-                "baseline_tags_per_sec".to_string(),
-                case.baseline_tags_per_sec.to_json(),
-            ),
-            ("speedup".to_string(), speedup.to_json()),
-            ("gated".to_string(), case.min_speedup.is_some().to_json()),
-        ]));
+        // `run_case` asserts every inventory completes.
+        million_tag_run |= case.n >= 1_000_000;
+        gated_100k_at_10x |= case.n == 100_000
+            && case.min_speedup.is_some_and(|floor| floor >= 10.0)
+            && speedup >= 10.0;
     }
 
-    if !results.is_empty() {
-        let report = Json::Obj(vec![
-            ("group".to_string(), "hotpath".to_json()),
-            ("results".to_string(), Json::Arr(results)),
-        ])
-        .to_pretty_string();
-        let file = "BENCH_hotpath.json";
-        let path = find_target_dir()
-            .map(|d| d.join(file))
-            .unwrap_or_else(|| file.into());
-        match std::fs::write(&path, report + "\n") {
-            Ok(()) => println!("report: {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    if filter.is_none() {
+        if !million_tag_run {
+            failures.push("no completed 1M-tag case".to_string());
+        }
+        if !gated_100k_at_10x {
+            failures.push("no gated n=100k case at ≥10× the pre-change baseline".to_string());
         }
     }
 

@@ -1,8 +1,5 @@
-//! Profiling-plane overhead and bit-identity gates (DESIGN.md §14).
-//!
-//! Three gates, all written to `BENCH_obsplane.json` (schema:
-//! `{"group":"obsplane","results":[...]}`) for `obs_report
-//! --check-obsplane` and `scripts/verify.sh`:
+//! Profiling-plane overhead gates (DESIGN.md §14). The bench exits
+//! nonzero when either gate misses:
 //!
 //! 1. **Disabled span path is free.** `SimContext::span_enter/span_exit`
 //!    guard on a cold `is_enabled()` flag exactly like the trace log; a
@@ -13,19 +10,19 @@
 //!    profiling (spans on every session/pass/round/poll) must stay within
 //!    `ENABLED_CEILING`× the unprofiled run — the profiler is two clock
 //!    reads and a last-child-cached trie walk per span, not an allocation.
-//! 3. **Profiling never perturbs the run.** On an impaired traced run, the
-//!    final report JSON and the FNV-1a digest of the full event trace must
-//!    be bit-identical with profiling on and off: the profiler reads the
-//!    sim clock but never touches RNG, counters, or the trace.
+//!
+//! That profiling never perturbs a run (report, counters and trace
+//! bit-identical with profiling on and off) is a unit test:
+//! `profiling_does_not_perturb_the_run` in `rfid_protocols::session`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use rfid_bench::{find_target_dir, fnv64, Bench};
+use rfid_bench::Bench;
 use rfid_protocols::{HppConfig, Session};
-use rfid_system::{BitVec, FaultModel, Json, SimConfig, SimContext, TagPopulation, ToJson};
+use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
 
-/// Population for the disabled-path and bit-identity gates.
+/// Population for the disabled-path gate.
 const N_SMALL: usize = 500;
 /// Population for the enabled-overhead gate.
 const N_LARGE: usize = 100_000;
@@ -54,35 +51,18 @@ fn best_of(k: usize, n: usize, cfg: &SimConfig) -> f64 {
     best
 }
 
-/// Builds one gate row. `ratio` is the caller's gated quotient (off/on for
-/// the disabled gate, on/off for the enabled one) and must stay ≤ `ceiling`.
-fn gate_result(
-    name: &str,
-    n: usize,
-    off_ns: f64,
-    on_ns: f64,
-    ratio: f64,
-    ceiling: f64,
-) -> (Json, bool) {
-    let gated = ratio <= ceiling;
+/// Prints one gate row and returns whether it passed. `ratio` is the
+/// caller's gated quotient (off/on for the disabled gate, on/off for the
+/// enabled one) and must stay ≤ `ceiling`.
+fn gate(name: &str, off_ns: f64, on_ns: f64, ratio: f64, ceiling: f64) -> bool {
     println!(
         "obsplane/{name}: off {off_ns:.0} ns, on {on_ns:.0} ns, \
          ratio {ratio:.2} (ceiling {ceiling})"
     );
-    let json = Json::Obj(vec![
-        ("name".to_string(), name.to_json()),
-        ("n".to_string(), (n as u64).to_json()),
-        ("off_ns".to_string(), off_ns.to_json()),
-        ("on_ns".to_string(), on_ns.to_json()),
-        ("ratio".to_string(), ratio.to_json()),
-        ("ceiling".to_string(), ceiling.to_json()),
-        ("gated".to_string(), gated.to_json()),
-    ]);
-    (json, gated)
+    ratio <= ceiling
 }
 
 fn main() {
-    let mut results: Vec<Json> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
     // Gate 1: the disabled span path. Functional zero-cost proof first —
@@ -110,16 +90,7 @@ fn main() {
             .map(|m| m.nanos.min)
     };
     if let (Some(off), Some(on)) = (min_of("profile_disabled"), min_of("profile_enabled")) {
-        let (json, ok) = gate_result(
-            "disabled_span_path",
-            N_SMALL,
-            off,
-            on,
-            off / on,
-            DISABLED_CEILING,
-        );
-        results.push(json);
-        if !ok {
+        if !gate("disabled_span_path", off, on, off / on, DISABLED_CEILING) {
             failures.push("disabled span path costs more than the profiled run".into());
         }
     }
@@ -129,71 +100,16 @@ fn main() {
     // best of three so both sides see warm caches.
     let off = best_of(3, N_LARGE, &off_cfg);
     let on = best_of(3, N_LARGE, &on_cfg);
-    let (json, ok) = gate_result(
+    if !gate(
         "enabled_profiling_overhead",
-        N_LARGE,
         off,
         on,
         on / off,
         ENABLED_CEILING,
-    );
-    results.push(json);
-    if !ok {
+    ) {
         failures.push(format!(
             "enabled profiling overhead exceeds {ENABLED_CEILING}×"
         ));
-    }
-
-    // Gate 3: bit-identity on an impaired traced run — profiling must not
-    // move a single RNG draw, counter, or trace event.
-    let fault = FaultModel::perfect().with_downlink_loss(0.3);
-    let base_cfg = SimConfig::paper(11).with_trace().with_fault(fault.clone());
-    let prof_cfg = SimConfig::paper(11)
-        .with_trace()
-        .with_fault(fault)
-        .with_profile();
-    let reported_run = |cfg: &SimConfig| {
-        let pop = TagPopulation::sequential(N_SMALL, |i| BitVec::from_value((i % 2) as u64, 1));
-        let mut ctx = SimContext::new(pop, cfg);
-        let protocol = HppConfig::default().into_protocol();
-        let end = Session::open(&protocol, &ctx).run(&mut ctx);
-        assert!(end.is_complete(), "HPP must complete under 0.3 loss");
-        (end.report().to_json().to_string(), ctx)
-    };
-    let (plain_report, plain) = reported_run(&base_cfg);
-    let (prof_report, profiled) = reported_run(&prof_cfg);
-    let report_match = plain_report == prof_report;
-    let counters_match = plain.counters == profiled.counters;
-    let trace_match = fnv64(&plain.log.to_jsonl()) == fnv64(&profiled.log.to_jsonl());
-    let identical = report_match && counters_match && trace_match;
-    println!(
-        "obsplane/bit_identity: report {report_match}, counters {counters_match}, \
-         trace {trace_match}"
-    );
-    results.push(Json::Obj(vec![
-        ("name".to_string(), "bit_identity".to_json()),
-        ("n".to_string(), (N_SMALL as u64).to_json()),
-        ("report_match".to_string(), report_match.to_json()),
-        ("counters_match".to_string(), counters_match.to_json()),
-        ("trace_match".to_string(), trace_match.to_json()),
-        ("identical".to_string(), identical.to_json()),
-    ]));
-    if !identical {
-        failures.push("profiling perturbed the run".into());
-    }
-
-    let report = Json::Obj(vec![
-        ("group".to_string(), "obsplane".to_json()),
-        ("results".to_string(), Json::Arr(results)),
-    ])
-    .to_pretty_string();
-    let file = "BENCH_obsplane.json";
-    let path = find_target_dir()
-        .map(|d| d.join(file))
-        .unwrap_or_else(|| file.into());
-    match std::fs::write(&path, report + "\n") {
-        Ok(()) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 
     if !failures.is_empty() {

@@ -14,20 +14,11 @@
 //! * `--reconcile` — the CI gate: one traced run of *every* protocol (plus
 //!   an impaired run of each fault-tolerant one) replayed through
 //!   `rfid_obs::reconcile`; any counter/trace disagreement exits nonzero.
-//! * `--check-hotpath <path>` — validates `BENCH_hotpath.json`: a
-//!   completed 1M-tag run and a gated n = 100k case at ≥ 10× (§12).
-//! * `--check-session <path>` — validates `BENCH_session.json`: every
-//!   kill/snapshot/restore case bit-identical, full clean coverage,
-//!   impaired paper protocols, multi-pass recovery (§13).
-//! * `--check-obsplane <path>` — validates `BENCH_obsplane.json`: the
-//!   disabled span path within noise, the enabled full-profiling overhead
-//!   under its ceiling, and profiling on/off bit-identity (§14).
-//! * `--check-daemon <path>` — validates `BENCH_daemon.json`: every case
-//!   completed its expected sessions, positive ordered latency
-//!   percentiles, and a concurrent fan-out case (§15).
-//! * `--check-resilience <path>` — validates `BENCH_resilience.json`:
-//!   100% bit-identical recovery in every chaos-soak arm, faults actually
-//!   injected, resurrection and shedding floors met (§16).
+//!
+//! No mode validates bench report files. The correctness gates are
+//! integration tests (`crates/bench/tests/crash_chaos.rs`,
+//! `crates/bench/tests/chaos_soak.rs`), and each speed bench checks its
+//! own gate in-process and exits nonzero on a miss.
 
 use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
 use rfid_bench::cli::{obs_usage, parse_obs_args, ObsMode};
@@ -51,11 +42,6 @@ fn main() {
     let n = opts.n.unwrap_or(200);
     let seed = opts.seed.unwrap_or(1);
     let code = match opts.mode {
-        ObsMode::CheckHotpath(path) => check_hotpath_report(&path.display().to_string()),
-        ObsMode::CheckSession(path) => check_session_report(&path.display().to_string()),
-        ObsMode::CheckObsplane(path) => check_obsplane_report(&path.display().to_string()),
-        ObsMode::CheckDaemon(path) => check_daemon_report(&path.display().to_string()),
-        ObsMode::CheckResilience(path) => check_resilience_report(&path.display().to_string()),
         ObsMode::Reconcile => run_reconcile_gate(n.min(120), seed),
         ObsMode::Flame => {
             render_flame_profiles(n, seed);
@@ -261,577 +247,6 @@ fn render_worked_examples(n: usize, seed: u64) {
         ctx.counters.rounds,
     );
     print_metric_summary(&metrics_from_log(&ctx.log));
-}
-
-// ---------------------------------------------------------------------------
-// --check-hotpath: BENCH_hotpath.json shape + gate validation
-// ---------------------------------------------------------------------------
-
-/// Validates the hot-path bench report: parseable, expected schema, a
-/// completed 1M-tag case, and ≥ 10× pre-change throughput on at least one
-/// gated case at n = 100 000. Returns the process exit code.
-fn check_hotpath_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-hotpath: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let parsed = match rfid_system::Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("check-hotpath: {path} is not well-formed JSON: {e}");
-            return 1;
-        }
-    };
-    let validate = || -> Result<(), String> {
-        let group = parsed
-            .get("group")
-            .ok_or("missing `group`")?
-            .as_str()
-            .map_err(|e| e.to_string())?;
-        if group != "hotpath" {
-            return Err(format!("group is `{group}`, expected `hotpath`"));
-        }
-        let results = parsed
-            .get("results")
-            .ok_or("missing `results`")?
-            .as_arr()
-            .map_err(|e| e.to_string())?;
-        if results.is_empty() {
-            return Err("empty `results`".to_string());
-        }
-        let mut million_tag_run = false;
-        let mut gated_100k_at_10x = false;
-        for r in results {
-            let name = r
-                .get("name")
-                .ok_or("result missing `name`")?
-                .as_str()
-                .map_err(|e| e.to_string())?;
-            let n = r
-                .get("n")
-                .ok_or("result missing `n`")?
-                .as_u64()
-                .map_err(|e| e.to_string())?;
-            for field in ["seconds", "tags_per_sec", "slots_per_sec", "speedup"] {
-                let v = r
-                    .get(field)
-                    .ok_or_else(|| format!("{name}/{n} missing `{field}`"))?
-                    .as_f64()
-                    .map_err(|e| e.to_string())?;
-                if !v.is_finite() || v <= 0.0 {
-                    return Err(format!("{name}/{n}: `{field}` = {v} is not positive"));
-                }
-            }
-            let gated = r
-                .get("gated")
-                .ok_or("result missing `gated`")?
-                .as_bool()
-                .map_err(|e| e.to_string())?;
-            if n >= 1_000_000 {
-                million_tag_run = true;
-            }
-            if gated && n == 100_000 {
-                let speedup = r.get("speedup").unwrap().as_f64().unwrap();
-                if speedup >= 10.0 {
-                    gated_100k_at_10x = true;
-                }
-            }
-        }
-        if !million_tag_run {
-            return Err("no completed 1M-tag case in the report".to_string());
-        }
-        if !gated_100k_at_10x {
-            return Err("no gated n=100k case at ≥10× the pre-change baseline".to_string());
-        }
-        Ok(())
-    };
-    match validate() {
-        Ok(()) => {
-            println!("check-hotpath: {path} ok");
-            0
-        }
-        Err(e) => {
-            eprintln!("check-hotpath: {path} invalid: {e}");
-            1
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// --check-session: BENCH_session.json shape + crash-chaos gate validation
-// ---------------------------------------------------------------------------
-
-/// Validates the crash-chaos session report: parseable, expected schema,
-/// every kill/snapshot/restore case bit-identical, all 12 protocols covered
-/// on the clean channel, the four paper protocols impaired, and a
-/// multi-pass recovery case. Returns the process exit code.
-fn check_session_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-session: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let parsed = match rfid_system::Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("check-session: {path} is not well-formed JSON: {e}");
-            return 1;
-        }
-    };
-    let validate = || -> Result<(), String> {
-        let group = parsed
-            .get("group")
-            .ok_or("missing `group`")?
-            .as_str()
-            .map_err(|e| e.to_string())?;
-        if group != "session" {
-            return Err(format!("group is `{group}`, expected `session`"));
-        }
-        let results = parsed
-            .get("results")
-            .ok_or("missing `results`")?
-            .as_arr()
-            .map_err(|e| e.to_string())?;
-        if results.is_empty() {
-            return Err("empty `results`".to_string());
-        }
-        let mut clean = std::collections::BTreeSet::new();
-        let mut impaired = std::collections::BTreeSet::new();
-        let mut multi_pass_recovery = false;
-        for r in results {
-            let name = r
-                .get("name")
-                .ok_or("result missing `name`")?
-                .as_str()
-                .map_err(|e| e.to_string())?;
-            let channel = r
-                .get("channel")
-                .ok_or("result missing `channel`")?
-                .as_str()
-                .map_err(|e| e.to_string())?;
-            let kill = r
-                .get("kill_step")
-                .ok_or("result missing `kill_step`")?
-                .as_u64()
-                .map_err(|e| e.to_string())?;
-            let bytes = r
-                .get("snapshot_bytes")
-                .ok_or("result missing `snapshot_bytes`")?
-                .as_u64()
-                .map_err(|e| e.to_string())?;
-            let passes = r
-                .get("passes")
-                .ok_or("result missing `passes`")?
-                .as_u64()
-                .map_err(|e| e.to_string())?;
-            let identical = r
-                .get("identical")
-                .ok_or("result missing `identical`")?
-                .as_bool()
-                .map_err(|e| e.to_string())?;
-            if !identical {
-                return Err(format!(
-                    "{name}/{channel}: restored run was NOT bit-identical"
-                ));
-            }
-            if kill == 0 {
-                return Err(format!("{name}/{channel}: kill_step 0 (never killed)"));
-            }
-            if bytes == 0 {
-                return Err(format!(
-                    "{name}/{channel}: snapshot_bytes 0 (snapshot path not exercised)"
-                ));
-            }
-            match channel {
-                "clean" => {
-                    clean.insert(name.to_string());
-                }
-                "impaired" => {
-                    impaired.insert(name.to_string());
-                }
-                "recovery" => multi_pass_recovery |= passes > 1,
-                other => return Err(format!("{name}: unknown channel `{other}`")),
-            }
-        }
-        if clean.len() < 12 {
-            return Err(format!(
-                "only {} clean protocols covered, expected all 12",
-                clean.len()
-            ));
-        }
-        for required in ["HPP", "EHPP", "TPP", "MIC"] {
-            if !impaired.contains(required) {
-                return Err(format!("no impaired case for {required}"));
-            }
-        }
-        if !multi_pass_recovery {
-            return Err("no multi-pass recovery case (passes > 1)".to_string());
-        }
-        Ok(())
-    };
-    match validate() {
-        Ok(()) => {
-            println!("check-session: {path} ok");
-            0
-        }
-        Err(e) => {
-            eprintln!("check-session: {path} invalid: {e}");
-            1
-        }
-    }
-}
-
-/// Validates a `BENCH_obsplane.json` report: all three profiling-plane
-/// gates present and passing — the disabled span path within noise, the
-/// enabled overhead under its ceiling, and profiling on/off bit-identity.
-/// Returns the process exit code.
-fn check_obsplane_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-obsplane: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let parsed = match rfid_system::Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("check-obsplane: {path} is not well-formed JSON: {e}");
-            return 1;
-        }
-    };
-    let validate = || -> Result<(), String> {
-        let group = parsed
-            .get("group")
-            .ok_or("missing `group`")?
-            .as_str()
-            .map_err(|e| e.to_string())?;
-        if group != "obsplane" {
-            return Err(format!("group is `{group}`, expected `obsplane`"));
-        }
-        let results = parsed
-            .get("results")
-            .ok_or("missing `results`")?
-            .as_arr()
-            .map_err(|e| e.to_string())?;
-        let find = |name: &str| {
-            results
-                .iter()
-                .find(|r| r.get("name").and_then(|n| n.as_str().ok()) == Some(name))
-                .ok_or(format!("no `{name}` result"))
-        };
-        // The two overhead gates: ratio recorded, under its ceiling, gated.
-        for name in ["disabled_span_path", "enabled_profiling_overhead"] {
-            let r = find(name)?;
-            let ratio = r
-                .get("ratio")
-                .ok_or(format!("{name}: missing `ratio`"))?
-                .as_f64()
-                .map_err(|e| e.to_string())?;
-            let ceiling = r
-                .get("ceiling")
-                .ok_or(format!("{name}: missing `ceiling`"))?
-                .as_f64()
-                .map_err(|e| e.to_string())?;
-            let gated = r
-                .get("gated")
-                .ok_or(format!("{name}: missing `gated`"))?
-                .as_bool()
-                .map_err(|e| e.to_string())?;
-            if !gated || ratio > ceiling {
-                return Err(format!(
-                    "{name}: ratio {ratio:.2} exceeds ceiling {ceiling} (gated = {gated})"
-                ));
-            }
-        }
-        // The enabled gate must have run at the full 100 k-tag population.
-        let enabled = find("enabled_profiling_overhead")?;
-        let n = enabled
-            .get("n")
-            .ok_or("enabled_profiling_overhead: missing `n`")?
-            .as_u64()
-            .map_err(|e| e.to_string())?;
-        if n < 100_000 {
-            return Err(format!(
-                "enabled_profiling_overhead ran at n = {n}, expected ≥ 100000"
-            ));
-        }
-        // Bit-identity: profiling on/off must not move a single bit.
-        let bit = find("bit_identity")?;
-        let identical = bit
-            .get("identical")
-            .ok_or("bit_identity: missing `identical`")?
-            .as_bool()
-            .map_err(|e| e.to_string())?;
-        if !identical {
-            return Err("bit_identity: profiling perturbed the run".to_string());
-        }
-        Ok(())
-    };
-    match validate() {
-        Ok(()) => {
-            println!("check-obsplane: {path} ok");
-            0
-        }
-        Err(e) => {
-            eprintln!("check-obsplane: {path} invalid: {e}");
-            1
-        }
-    }
-}
-
-/// Validates a `BENCH_daemon.json` report: every case completed exactly
-/// its expected session count, throughput and latency figures are
-/// positive and finite with ordered percentiles, and at least one case
-/// exercised real concurrency (multiple clients) at fan-out scale
-/// (≥ 100 sessions). Returns the process exit code.
-fn check_daemon_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-daemon: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let parsed = match rfid_system::Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("check-daemon: {path} is not well-formed JSON: {e}");
-            return 1;
-        }
-    };
-    let validate = || -> Result<(), String> {
-        let group = parsed
-            .get("group")
-            .ok_or("missing `group`")?
-            .as_str()
-            .map_err(|e| e.to_string())?;
-        if group != "daemon" {
-            return Err(format!("group is `{group}`, expected `daemon`"));
-        }
-        let results = parsed
-            .get("results")
-            .ok_or("missing `results`")?
-            .as_arr()
-            .map_err(|e| e.to_string())?;
-        if results.is_empty() {
-            return Err("empty `results`".to_string());
-        }
-        let mut concurrent_fanout = false;
-        for r in results {
-            let name = r
-                .get("name")
-                .ok_or("result missing `name`")?
-                .as_str()
-                .map_err(|e| e.to_string())?;
-            r.get("protocol")
-                .ok_or_else(|| format!("{name}: missing `protocol`"))?
-                .as_str()
-                .map_err(|e| e.to_string())?;
-            let mut ints = std::collections::BTreeMap::new();
-            for field in ["clients", "sessions", "expected", "completed", "n"] {
-                let v = r
-                    .get(field)
-                    .ok_or_else(|| format!("{name}: missing `{field}`"))?
-                    .as_u64()
-                    .map_err(|e| e.to_string())?;
-                if v == 0 {
-                    return Err(format!("{name}: `{field}` is 0"));
-                }
-                ints.insert(field, v);
-            }
-            if ints["completed"] != ints["expected"] {
-                return Err(format!(
-                    "{name}: completed {} of {} sessions",
-                    ints["completed"], ints["expected"]
-                ));
-            }
-            let mut floats = std::collections::BTreeMap::new();
-            for field in [
-                "sessions_per_sec",
-                "latency_p50_us",
-                "latency_p90_us",
-                "latency_p99_us",
-                "latency_mean_us",
-            ] {
-                let v = r
-                    .get(field)
-                    .ok_or_else(|| format!("{name}: missing `{field}`"))?
-                    .as_f64()
-                    .map_err(|e| e.to_string())?;
-                if !v.is_finite() || v <= 0.0 {
-                    return Err(format!("{name}: `{field}` = {v} is not positive"));
-                }
-                floats.insert(field, v);
-            }
-            if floats["latency_p50_us"] > floats["latency_p90_us"]
-                || floats["latency_p90_us"] > floats["latency_p99_us"]
-            {
-                return Err(format!("{name}: latency percentiles are not ordered"));
-            }
-            if ints["clients"] > 1 && ints["sessions"] >= 100 {
-                concurrent_fanout = true;
-            }
-        }
-        if !concurrent_fanout {
-            return Err("no concurrent fan-out case (clients > 1, sessions ≥ 100)".to_string());
-        }
-        Ok(())
-    };
-    match validate() {
-        Ok(()) => {
-            println!("check-daemon: {path} ok");
-            0
-        }
-        Err(e) => {
-            eprintln!("check-daemon: {path} invalid: {e}");
-            1
-        }
-    }
-}
-
-/// Validates a `BENCH_resilience.json` report: every chaos-soak case is
-/// present with a 100% bit-identical recovery rate, the chaos arms
-/// actually injected faults, the kill arm resurrected at least one
-/// session, the shedding arm shed at least one client and reports
-/// ordered positive latency percentiles, and the drain arm checkpointed
-/// at least one live session. Returns the process exit code.
-fn check_resilience_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-resilience: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let parsed = match rfid_system::Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("check-resilience: {path} is not well-formed JSON: {e}");
-            return 1;
-        }
-    };
-    let validate = || -> Result<(), String> {
-        let group = parsed
-            .get("group")
-            .ok_or("missing `group`")?
-            .as_str()
-            .map_err(|e| e.to_string())?;
-        if group != "resilience" {
-            return Err(format!("group is `{group}`, expected `resilience`"));
-        }
-        let results = parsed
-            .get("results")
-            .ok_or("missing `results`")?
-            .as_arr()
-            .map_err(|e| e.to_string())?;
-        let find = |name: &str| {
-            results
-                .iter()
-                .find(|r| r.get("name").and_then(|n| n.as_str().ok()) == Some(name))
-                .ok_or(format!("no `{name}` result"))
-        };
-        let int = |r: &rfid_system::Json, name: &str, field: &str| -> Result<u64, String> {
-            r.get(field)
-                .ok_or_else(|| format!("{name}: missing `{field}`"))?
-                .as_u64()
-                .map_err(|e| e.to_string())
-        };
-        // Every case: sessions attempted, and every one of them recovered
-        // to the bit-identical clean-run report and trace digest.
-        for name in [
-            "reference",
-            "chaos_flips",
-            "chaos_cuts",
-            "chaos_burst",
-            "chaos_kill",
-            "shed_pressure",
-            "drain_shutdown",
-        ] {
-            let r = find(name)?;
-            r.get("protocol")
-                .ok_or_else(|| format!("{name}: missing `protocol`"))?
-                .as_str()
-                .map_err(|e| e.to_string())?;
-            let sessions = int(r, name, "sessions")?;
-            let recovered = int(r, name, "recovered")?;
-            if sessions == 0 {
-                return Err(format!("{name}: no sessions were attempted"));
-            }
-            if recovered != sessions {
-                return Err(format!(
-                    "{name}: only {recovered}/{sessions} sessions recovered bit-identically"
-                ));
-            }
-            let rate = r
-                .get("recovery_rate")
-                .ok_or_else(|| format!("{name}: missing `recovery_rate`"))?
-                .as_f64()
-                .map_err(|e| e.to_string())?;
-            if rate != 1.0 {
-                return Err(format!("{name}: recovery_rate {rate} is not 1.0"));
-            }
-        }
-        // The chaos arms only prove something if the link actually hurt.
-        for name in ["chaos_flips", "chaos_cuts", "chaos_burst", "chaos_kill"] {
-            let r = find(name)?;
-            if int(r, name, "faults_injected")? == 0 {
-                return Err(format!("{name}: chaos injected no faults"));
-            }
-            if int(r, name, "retries")? + int(r, name, "reconnects")? == 0 {
-                return Err(format!("{name}: client never had to retry or reconnect"));
-            }
-        }
-        // The kill arm must have crossed the supervisor's resurrection path.
-        let kill = find("chaos_kill")?;
-        if int(kill, "chaos_kill", "resurrections")? == 0 {
-            return Err("chaos_kill: no session was resurrected".to_string());
-        }
-        // The shedding arm must have shed, and its client-observed wall
-        // latency (Busy backoff included) must be a sane distribution.
-        let shed = find("shed_pressure")?;
-        if int(shed, "shed_pressure", "shed")? == 0 {
-            return Err("shed_pressure: admission control never shed".to_string());
-        }
-        let mut latencies = std::collections::BTreeMap::new();
-        for field in ["latency_p50_us", "latency_p90_us", "latency_p99_us"] {
-            let v = shed
-                .get(field)
-                .ok_or_else(|| format!("shed_pressure: missing `{field}`"))?
-                .as_f64()
-                .map_err(|e| e.to_string())?;
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!("shed_pressure: `{field}` = {v} is not positive"));
-            }
-            latencies.insert(field, v);
-        }
-        if latencies["latency_p50_us"] > latencies["latency_p90_us"]
-            || latencies["latency_p90_us"] > latencies["latency_p99_us"]
-        {
-            return Err("shed_pressure: latency percentiles are not ordered".to_string());
-        }
-        // The drain arm must have checkpointed live sessions at shutdown.
-        let drain = find("drain_shutdown")?;
-        if int(drain, "drain_shutdown", "drains")? == 0 {
-            return Err("drain_shutdown: shutdown drained no sessions".to_string());
-        }
-        Ok(())
-    };
-    match validate() {
-        Ok(()) => {
-            println!("check-resilience: {path} ok");
-            0
-        }
-        Err(e) => {
-            eprintln!("check-resilience: {path} invalid: {e}");
-            1
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ impl Bench {
 
 /// FNV-1a over a string — cheap, stable, and order sensitive. The shared
 /// digest for trace bit-identity gates (golden tests, the crash-chaos
-/// session bench, the daemon's wire reports, `repro session`): any
+/// test, the daemon's wire reports, `repro session`): any
 /// reordered, dropped, or extra event in a serialized trace changes the
 /// digest. The definition lives in `rfid-hash` so the serving layer can
 /// digest traces without depending on the bench harness.

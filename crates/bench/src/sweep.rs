@@ -34,12 +34,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use rfid_apps::Collection;
 use rfid_obs::MetricsRegistry;
 use rfid_protocols::{RecoveryPolicy, Report, Session, SessionEnd};
 use rfid_system::{to_json_string, FaultModel, FromJson, Json, SimConfig, SimContext, ToJson};
 use rfid_workloads::Scenario;
 
+use crate::fnv64;
 use crate::runner::ProtocolFactory;
 
 /// Code-version salt folded into every cache key. Bump whenever simulator
@@ -379,12 +379,13 @@ impl SweepEngine {
     }
 }
 
-/// Executes one Monte-Carlo run of a cell through one validated
-/// [`Collection`] session: the paper config for the run's seed, plus the
-/// cell's fault model and recovery policy when it has them. A complete run
-/// passes the polling invariant; a stall without a policy panics with the
-/// `PollingError` display; a recovered run that degrades still returns its
-/// partial report (the recovery counters inside carry passes and backoff).
+/// Executes one Monte-Carlo run of a cell as one [`Session`]: the paper
+/// config for the run's seed, plus the cell's fault model and recovery
+/// policy when it has them. A complete run must pass the polling invariant
+/// ([`SimContext::assert_complete`]); a stall without a policy panics with
+/// the `PollingError` display; a recovered run that degrades still returns
+/// its partial report (the recovery counters inside carry passes and
+/// backoff).
 fn execute_run(
     cell: &Cell<'_>,
     protocol: &dyn rfid_protocols::PollingProtocol,
@@ -399,8 +400,12 @@ fn execute_run(
     if let Some(policy) = cell.recovery {
         session = session.with_policy(policy);
     }
-    match Collection::run(session, &mut ctx).end {
-        SessionEnd::Complete { report, .. } | SessionEnd::Degraded { report, .. } => report,
+    match session.run(&mut ctx) {
+        SessionEnd::Complete { report, .. } => {
+            ctx.assert_complete();
+            report
+        }
+        SessionEnd::Degraded { report, .. } => report,
         SessionEnd::Stalled(e) => panic!("{e}"),
     }
 }
@@ -567,16 +572,6 @@ fn cache_line(key: &str, id: &str, reports: &[Report]) -> String {
         ),
     ])
     .to_string()
-}
-
-/// FNV-1a over the cache-key preimage: stable across runs and platforms.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

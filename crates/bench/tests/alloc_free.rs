@@ -12,7 +12,8 @@
 //! integration test is its own crate root and may implement `GlobalAlloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rfid_protocols::{HppConfig, PollingProtocol};
@@ -20,10 +21,25 @@ use rfid_system::{BitVec, SimConfig, SimContext, TagPopulation};
 use rfid_workloads::{PayloadKind, Scenario};
 
 /// Counts heap acquisitions (alloc + realloc — the events arena reuse is
-/// supposed to eliminate) and releases while armed.
+/// supposed to eliminate) and releases made by an armed thread.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Arming is per thread, so the test harness's own threads (result
+    /// reporting, output capture) never leak into a count.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is counting. A thread whose locals are
+/// already torn down is not.
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
+
+fn arm(on: bool) {
+    ARMED.with(|a| a.set(on));
+}
+
 static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
 static RELEASES: AtomicU64 = AtomicU64::new(0);
 /// The counters are process-global and the default test harness runs
@@ -32,21 +48,21 @@ static COUNTING: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             RELEASES.fetch_add(1, Ordering::Relaxed);
         }
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -64,9 +80,9 @@ fn counted_hpp_run(n: usize) -> (u64, u64) {
     let mut ctx = SimContext::new(pop, &SimConfig::paper(7));
     let protocol = HppConfig::default().into_protocol();
     ACQUISITIONS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    arm(true);
     let report = protocol.run(&mut ctx);
-    ARMED.store(false, Ordering::SeqCst);
+    arm(false);
     (ACQUISITIONS.load(Ordering::SeqCst), report.counters.polls)
 }
 
@@ -78,11 +94,11 @@ fn counted_build_and_drop(n: usize) -> (u64, u64) {
         .with_payload(PayloadKind::Random);
     ACQUISITIONS.store(0, Ordering::SeqCst);
     RELEASES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    arm(true);
     let population = scenario.build_population();
     let len = population.len();
     drop(population);
-    ARMED.store(false, Ordering::SeqCst);
+    arm(false);
     assert_eq!(len, n);
     (
         ACQUISITIONS.load(Ordering::SeqCst),

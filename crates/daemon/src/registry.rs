@@ -3,8 +3,9 @@
 //! Maps wire protocol names to the workspace's twelve inventory
 //! protocols — the paper's three (HPP, EHPP, TPP) plus every baseline —
 //! so an [`crate::service::Service`] can open or resume a session from a
-//! name alone. The list mirrors the crash-chaos bench's `all_protocols`
-//! so anything the bit-identity gate covers is also servable.
+//! name alone. The list mirrors `all_protocols` in the crash-chaos test
+//! (`crates/bench/tests/crash_chaos.rs`), so anything the bit-identity
+//! gate covers is also servable.
 
 use rfid_baselines::{CodedPollingConfig, CppConfig, EcppConfig, FsaConfig, LowerBound, MicConfig};
 use rfid_identify::{BinarySplitConfig, QAlgorithmConfig, QueryTreeConfig};

@@ -350,6 +350,33 @@ mod tests {
     }
 
     #[test]
+    fn percentile_never_decreases_as_q_rises() {
+        use rfid_hash::prop::{check, Gen};
+        check("log2hist percentile monotone in q", 128, |g: &mut Gen| {
+            let mut h = Log2Histogram::new();
+            for _ in 0..g.u64_in(1, 40) {
+                let shift = g.u64_in(0, 63) as u32;
+                h.record(g.u64() >> shift);
+            }
+            let mut qs: Vec<f64> = g.vec(2, 12, |g| g.f64_in(-0.1, 1.1));
+            qs.extend([0.0, 0.5, 0.9, 0.99, 1.0]);
+            qs.sort_by(f64::total_cmp);
+            let ps: Vec<u64> = qs.iter().map(|&q| h.percentile(q).unwrap()).collect();
+            for (i, pair) in ps.windows(2).enumerate() {
+                rfid_hash::prop_assert!(
+                    pair[0] <= pair[1],
+                    "p({}) = {} > p({}) = {}",
+                    qs[i],
+                    pair[0],
+                    qs[i + 1],
+                    pair[1]
+                );
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
     fn json_round_trips() {
         let mut h = Log2Histogram::new();
         for v in [0u64, 3, 3, 900] {

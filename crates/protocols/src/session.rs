@@ -25,8 +25,9 @@
 //!   state + stepper state + full [`SimContext`]) serializes to JSON via
 //!   [`Session::snapshot`] and restores into a fresh process image via
 //!   [`Session::restore`], continuing **bit-identically**: same RNG
-//!   stream, same trace, same report. The crash-chaos bench
-//!   (`BENCH_session.json`) enforces this for every protocol.
+//!   stream, same trace, same report. The crash-chaos test
+//!   (`crates/bench/tests/crash_chaos.rs`) enforces this for every
+//!   protocol.
 //!
 //! A run has exactly one outcome type, [`SessionEnd`]: complete, stalled
 //! (no policy installed) or degraded, each with its report, pass count
@@ -641,25 +642,38 @@ mod tests {
     #[test]
     fn profiling_does_not_perturb_the_run() {
         // Same seed, same faults, trace on — the only difference is the
-        // profiler. Report and trace must be bit-identical (the obsplane
-        // bench enforces the same at scale).
+        // profiler. Report, counters and trace must be bit-identical: the
+        // profiler reads the sim clock but never touches the RNG, the
+        // counters or the trace.
         let fault = FaultModel::perfect().with_downlink_loss(0.3);
-        let run = |profile: bool| {
-            let mut cfg = SimConfig::paper(17).with_fault(fault.clone()).with_trace();
-            if profile {
-                cfg = cfg.with_profile();
-            }
-            let mut ctx = SimContext::new(population(64), &cfg);
-            let protocol = small_budget_hpp();
-            let mut session =
-                Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
-            let end = session.run(&mut ctx);
-            (end.report().to_json().to_string(), ctx.log.to_jsonl())
-        };
-        let (report_off, trace_off) = run(false);
-        let (report_on, trace_on) = run(true);
-        assert_eq!(report_off, report_on, "report must not see the profiler");
-        assert_eq!(trace_off, trace_on, "trace must not see the profiler");
+        for n in [64, 500] {
+            let run = |profile: bool| {
+                let mut cfg = SimConfig::paper(17).with_fault(fault.clone()).with_trace();
+                if profile {
+                    cfg = cfg.with_profile();
+                }
+                let mut ctx = SimContext::new(population(n), &cfg);
+                let protocol = small_budget_hpp();
+                let mut session =
+                    Session::open(&protocol, &ctx).with_policy(RecoveryPolicy::unbounded());
+                let end = session.run(&mut ctx);
+                assert!(end.is_complete(), "n = {n}: {end:?}");
+                assert_eq!(ctx.profiler.is_empty(), !profile, "n = {n}");
+                (end.report().to_json().to_string(), ctx)
+            };
+            let (report_off, off) = run(false);
+            let (report_on, on) = run(true);
+            assert_eq!(
+                off.counters, on.counters,
+                "n = {n}: counters saw the profiler"
+            );
+            assert_eq!(report_off, report_on, "n = {n}: report saw the profiler");
+            assert_eq!(
+                off.log.to_jsonl(),
+                on.log.to_jsonl(),
+                "n = {n}: trace saw the profiler"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   the arenas;
 //! * recording never touches the RNG, the clock, the counters or the
 //!   trace, so a profiled run is bit-identical to an unprofiled one — the
-//!   `BENCH_obsplane.json` gate enforces this.
+//!   `profiling_does_not_perturb_the_run` test in `rfid_protocols::session`
+//!   enforces this.
 //!
 //! Aggregation is a trie keyed by `(parent, name)`: the same `&'static
 //! str` name under two different parents is two nodes, so `round` under

@@ -33,49 +33,27 @@ cargo run --release --offline -p rfid-bench --bin repro -- table1 --runs 2 --max
 cargo run --release --offline -p rfid-bench --bin repro -- recovery --runs 2 --max-n 500 --workers 1
 # Hot-path smoke slice (DESIGN.md §12): end-to-end throughput including a
 # 100k-tag run with a tags/sec floor and a 1M-tag HPP run to completion;
-# the bench itself enforces the ≥10× speedup gates against the pre-change
-# baselines and exits nonzero on a miss. Writes target/BENCH_hotpath.json.
-rm -f target/BENCH_hotpath.json
+# the bench itself enforces the speedup floors against the pre-change
+# baselines (≥10× on at least one gated 100k case) and exits nonzero on a
+# miss.
 cargo bench --offline -p rfid-bench --bench hotpath
-# Regression check: the hot-path report must exist and be well-formed JSON
-# with the expected shape (obs_report doubles as the workspace's offline
-# JSON validator).
-cargo run --release --offline -p rfid-bench --bin obs_report -- --check-hotpath target/BENCH_hotpath.json
-# Crash-chaos checkpoint/restore gate (DESIGN.md §13): every protocol is
-# killed at a seeded slot boundary, snapshotted to JSON, restored into a
-# fresh context and run to completion; the final report and event-trace
-# digest must be bit-identical to the uninterrupted run (clean + impaired
-# channels + a multi-pass recovery kill). Writes target/BENCH_session.json.
-rm -f target/BENCH_session.json
-cargo bench --offline -p rfid-bench --bench session
-cargo run --release --offline -p rfid-bench --bin obs_report -- --check-session target/BENCH_session.json
+# The crash-chaos checkpoint/restore gate (DESIGN.md §13) and the
+# chaos-soak fleet-resilience gate (DESIGN.md §16) are integration tests
+# (crates/bench/tests/crash_chaos.rs, chaos_soak.rs) run by `cargo test`
+# above.
 # Profiling-plane gate (DESIGN.md §14): the disabled span path must stay
-# within timer noise of the profiled run, full profiling on a 100k-tag HPP
-# session must stay under its overhead ceiling, and profiling on/off must
-# be bit-identical (report, counters, trace digest). Writes
-# target/BENCH_obsplane.json.
-rm -f target/BENCH_obsplane.json
+# within timer noise of the profiled run, and full profiling on a 100k-tag
+# HPP session must stay under its overhead ceiling. Profiling on/off
+# bit-identity is a unit test in rfid-protocols' session module.
 cargo bench --offline -p rfid-bench --bench obsplane
-cargo run --release --offline -p rfid-bench --bin obs_report -- --check-obsplane target/BENCH_obsplane.json
 # Daemon serving gate (DESIGN.md §15): an in-process fleet on port 0
 # absorbs hundreds of sessions from concurrent TCP clients plus a loopback
-# baseline; every session must complete, and the sessions/sec + latency
-# percentile report is schema-checked. The smoke run then serves one clean
-# and one impaired session over real TCP and shuts down cleanly over the
-# wire. Writes target/BENCH_daemon.json.
-rm -f target/BENCH_daemon.json
+# baseline; every session must complete. The smoke run then serves one
+# clean and one impaired session over real TCP and shuts down cleanly over
+# the wire.
 cargo bench --offline -p rfid-bench --bench daemon
-cargo run --release --offline -p rfid-bench --bin obs_report -- --check-daemon target/BENCH_daemon.json
 cargo run --release --offline -p rfid-bench --bin rfid_daemon -- --smoke
-# Fleet-resilience gate (DESIGN.md §16): the chaos-soak grid drives every
-# session through seeded byte flips, connection cuts, loss bursts, a
-# daemon-side kill and admission-control shedding; every session must
-# recover to a report and trace digest bit-identical to the clean run
-# (recovery rate 1.0), with resurrection/shed/drain floors schema-checked.
-# The chaos-smoke run then proves one seed end-to-end over real TCP.
-rm -f target/BENCH_resilience.json
-cargo bench --offline -p rfid-bench --bench resilience
-cargo run --release --offline -p rfid-bench --bin obs_report -- --check-resilience target/BENCH_resilience.json
+# The chaos-smoke run proves one chaos seed end-to-end over real TCP.
 cargo run --release --offline -p rfid-bench --bin rfid_daemon -- --chaos-smoke
 
 echo "verify: OK"
